@@ -100,6 +100,27 @@ void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
     }
   }
 
+  unprocessed_.assign(num_data, 0);
+  for (TaskId task = 0; task < num_tasks; ++task) {
+    if (state_[task] == TaskState::kUnsubmitted) continue;
+    for (DataId data : graph.inputs(task)) ++unprocessed_[data];
+  }
+  single_input_offsets_.assign(1, 0);
+  single_input_consumers_.clear();
+  for (DataId data = 0; data < num_data; ++data) {
+    for (TaskId task : graph.consumers(data)) {
+      if (graph.inputs(task).size() == 1) {
+        single_input_consumers_.push_back(task);
+      }
+    }
+    single_input_offsets_.push_back(
+        static_cast<std::uint32_t>(single_input_consumers_.size()));
+  }
+  resident_.assign(num_data, 0);
+  free_counts_.assign(num_data, 0);
+  visit_round_.assign(num_tasks, 0);
+  round_ = 0;
+
   per_gpu_.assign(platform.num_gpus, PerGpu{});
   for (PerGpu& gpu_state : per_gpu_) {
     gpu_state.data_not_in_mem.init(num_data);
@@ -143,12 +164,15 @@ void DartsScheduler::notify_job_arrived(std::uint32_t job,
         job < job_priority_.size() ? job_priority_[job] : 0;
     for (TaskId task : tasks) task_priority_[task] = priority;
   }
-  for (TaskId task : tasks) {
-    MG_DCHECK(state_[task] == TaskState::kUnsubmitted);
-    state_[task] = TaskState::kAvailable;
-    push_to_available(task);
-    incremental_availability_change(task, +1);
-  }
+  for (TaskId task : tasks) submit_task(task);
+}
+
+void DartsScheduler::submit_task(TaskId task) {
+  MG_DCHECK(state_[task] == TaskState::kUnsubmitted);
+  state_[task] = TaskState::kAvailable;
+  push_to_available(task);
+  for (DataId data : graph_->inputs(task)) ++unprocessed_[data];
+  incremental_availability_change(task, +1);
 }
 
 void DartsScheduler::notify_job_priority(std::uint32_t job,
@@ -176,12 +200,7 @@ void DartsScheduler::notify_task_retired(
   }
   // The enabled successors extend the ready frontier — the same move a
   // streamed job arrival makes, including the incremental n(D) bookkeeping.
-  for (TaskId succ : enabled_successors) {
-    MG_DCHECK(state_[succ] == TaskState::kUnsubmitted);
-    state_[succ] = TaskState::kAvailable;
-    push_to_available(succ);
-    incremental_availability_change(succ, +1);
-  }
+  for (TaskId succ : enabled_successors) submit_task(succ);
 }
 
 std::uint64_t DartsScheduler::unlock_weight(TaskId task) const {
@@ -287,7 +306,87 @@ bool DartsScheduler::rest_in_memory(TaskId task, const MemoryView& memory,
   return true;
 }
 
+std::uint32_t DartsScheduler::count_free_tasks(
+    DataId data, const MemoryView& memory) const {
+  std::uint32_t n = 0;
+  for (TaskId task : graph_->consumers(data)) {
+    if (state_[task] == TaskState::kAvailable &&
+        rest_in_memory(task, memory, data)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+void DartsScheduler::count_all_free_tasks(GpuId gpu,
+                                          const MemoryView& memory) {
+  const ScanList& list = per_gpu_[gpu].data_not_in_mem;
+  const auto num_data = static_cast<DataId>(resident_.size());
+  for (DataId data = 0; data < num_data; ++data) {
+    resident_[data] = memory.is_present_or_fetching(data) ? 1 : 0;
+  }
+  // A single-input task on an absent data is free through that data, and no
+  // resident data leads to it.
+  for (DataId data = list.first(); data != list.sentinel();
+       data = list.after(data)) {
+    std::uint32_t n = 0;
+    if (resident_[data] == 0) {
+      for (std::uint32_t i = single_input_offsets_[data];
+           i < single_input_offsets_[data + 1]; ++i) {
+        if (state_[single_input_consumers_[i]] == TaskState::kAvailable) ++n;
+      }
+    }
+    free_counts_[data] = n;
+  }
+  // Every other free task has a resident input: visit each available
+  // consumer of resident data once. With no absent input it is free through
+  // each of its listed inputs (a listed data can be resident, e.g. an input
+  // being re-fetched); with exactly one it is free through that input only.
+  if (++round_ == 0) {
+    std::fill(visit_round_.begin(), visit_round_.end(), 0);
+    round_ = 1;
+  }
+  for (DataId data = 0; data < num_data; ++data) {
+    if (resident_[data] == 0) continue;
+    for (TaskId task : graph_->consumers(data)) {
+      if (state_[task] != TaskState::kAvailable ||
+          visit_round_[task] == round_) {
+        continue;
+      }
+      visit_round_[task] = round_;
+      const auto inputs = graph_->inputs(task);
+      DataId absent = kInvalidData;
+      std::uint32_t num_absent = 0;
+      for (DataId input : inputs) {
+        if (resident_[input] == 0) {
+          absent = input;
+          if (++num_absent > 1) break;
+        }
+      }
+      if (num_absent == 0) {
+        for (DataId input : inputs) {
+          if (list.contains(input)) ++free_counts_[input];
+        }
+      } else if (num_absent == 1 && list.contains(absent)) {
+        ++free_counts_[absent];
+      }
+    }
+  }
+#ifndef NDEBUG
+  for (DataId data = list.first(); data != list.sentinel();
+       data = list.after(data)) {
+    MG_DCHECK(free_counts_[data] == count_free_tasks(data, memory));
+  }
+#endif
+}
+
 std::uint32_t DartsScheduler::count_unprocessed_consumers(DataId data) const {
+  MG_DCHECK(unprocessed_[data] == recount_unprocessed_consumers(data));
+  return unprocessed_[data];
+}
+
+std::uint32_t DartsScheduler::recount_unprocessed_consumers(
+    DataId data) const {
   std::uint32_t count = 0;
   for (TaskId task : graph_->consumers(data)) {
     // Unsubmitted tasks are invisible: counting them would leak knowledge of
@@ -320,6 +419,10 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
       list.contains(gpu_state.scan_cursor)) {
     scan_start = gpu_state.scan_cursor;
   }
+  // A full scan needs n(D) for every listed data: count them all in one
+  // pass. The partial OPTI and threshold scans count per visited data.
+  const bool full_scan = !options_.opti && options_.scan_threshold == 0;
+  if (full_scan) count_all_free_tasks(gpu, memory);
   std::uint32_t n_max = 0;
   candidates_.clear();
   DataId data = scan_start;
@@ -327,13 +430,8 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
     if (data == list.sentinel()) data = list.first();  // wrap
     const DataId current = data;
     data = list.after(data);
-    std::uint32_t n = 0;
-    for (TaskId task : graph_->consumers(current)) {
-      if (state_[task] == TaskState::kAvailable &&
-          rest_in_memory(task, memory, current)) {
-        ++n;
-      }
-    }
+    const std::uint32_t n = full_scan ? free_counts_[current]
+                                      : count_free_tasks(current, memory);
     if (n == 0) continue;
     if (options_.opti) {
       gpu_state.scan_cursor = data == list.sentinel() ? kInvalidData : data;
@@ -385,16 +483,16 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
     std::uint32_t best_consumers = 0;
     std::size_t tie_count = 0;
     DataId chosen = kInvalidData;
-    for (DataId data : candidates_) {
-      const std::uint32_t consumers = count_unprocessed_consumers(data);
+    for (DataId candidate : candidates_) {
+      const std::uint32_t consumers = count_unprocessed_consumers(candidate);
       if (consumers > best_consumers) {
         best_consumers = consumers;
-        chosen = data;
+        chosen = candidate;
         tie_count = 1;
       } else if (consumers == best_consumers) {
         // Reservoir-style uniform choice among ties.
         ++tie_count;
-        if (rng_.below(tie_count) == 0) chosen = data;
+        if (rng_.below(tie_count) == 0) chosen = candidate;
       }
     }
     return plan_and_pop(gpu, memory, chosen);
@@ -643,6 +741,7 @@ void DartsScheduler::mark_buffered(GpuId gpu, TaskId task) {
 void DartsScheduler::notify_task_complete(GpuId gpu, TaskId task) {
   MG_DCHECK(state_[task] == TaskState::kBuffered);
   state_[task] = TaskState::kDone;
+  for (DataId data : graph_->inputs(task)) --unprocessed_[data];
   // The entry can be legitimately absent: when `gpu` died, notify_gpu_lost
   // cleared its whole taskBuffer, yet a task the engine had ejected from the
   // pipeline beforehand (fault-time dependency revocation) still reports its

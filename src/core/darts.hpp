@@ -13,9 +13,17 @@
 //     enabling the most tasks that are exactly one further load away and
 //     returns one of those tasks; otherwise a random available task is
 //     returned.
+// The full scan counts n(D) for every listed data at once, starting from
+// the data *resident* on the GPU: a free task has at most one absent input,
+// so every free task but a single-input one on an absent data consumes a
+// resident data. Visiting the available consumers of resident data (each
+// once) therefore yields the same n(D) as the per-data definition, at a
+// cost bounded by what fits in GPU memory instead of by the working set.
 // The OPTI variant stops the scan at the first data with n(D) >= 1; the
-// threshold variant caps how many data the scan may visit. Both trade
-// schedule quality for decision time (Sections V-E/V-F of the paper).
+// threshold variant caps how many data the scan may visit. Both count n(D)
+// per visited data and trade schedule quality for decision time (Sections
+// V-E/V-F of the paper); with the resident-side count, the full scan can
+// cost less than the threshold variant (EXPERIMENTS.md, known deviation 4).
 //
 // Eviction side (LUF): prefer a victim used by no task of the GPU's pipeline
 // (taskBuffer), minimizing uses by plannedTasks; otherwise apply Belady's
@@ -66,11 +74,12 @@ struct DartsOptions {
   /// Incremental free-task counting (the paper's first future-work item:
   /// "improve the computational complexity of DARTS"). Maintains n(D) per
   /// GPU under load/evict/plan events, so a planning round costs
-  /// O(|dataNotInMem|) instead of O(sum of consumer degrees). Semantics
-  /// differ slightly from the scan: only *fully loaded* data count as in
-  /// memory (the runtime does not announce fetch starts), so decisions can
-  /// diverge from the scan variant while remaining DARTS-shaped.
-  /// Incompatible with three_inputs / opti / scan_threshold.
+  /// O(|dataNotInMem|) instead of the full scan's O(sum of consumer degrees
+  /// over the resident data). Semantics differ slightly from the scan: only
+  /// *fully loaded* data count as in memory (the runtime does not announce
+  /// fetch starts), so decisions can diverge from the scan variant while
+  /// remaining DARTS-shaped. Incompatible with three_inputs / opti /
+  /// scan_threshold.
   bool incremental = false;
 
   /// SLO tier boost (streamed serving): folds announced job priorities into
@@ -211,7 +220,24 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
                                     DataId extra,
                                     DataId extra2 = kInvalidData) const;
 
+  /// n(D) by definition: the available consumers of `data` whose other
+  /// inputs are all loaded or loading. The OPTI and threshold partial scans
+  /// pay this per visited data.
+  [[nodiscard]] std::uint32_t count_free_tasks(DataId data,
+                                               const MemoryView& memory) const;
+
+  /// Full scans: fills free_counts_ with n(D) for every data listed on
+  /// `gpu` in one pass over the consumers of the *resident* data, so the
+  /// cost is bounded by what fits in GPU memory rather than by the working
+  /// set.
+  void count_all_free_tasks(GpuId gpu, const MemoryView& memory);
+
   [[nodiscard]] std::uint32_t count_unprocessed_consumers(DataId data) const;
+  /// The same count by walking the consumers (debug cross-check).
+  [[nodiscard]] std::uint32_t recount_unprocessed_consumers(DataId data) const;
+
+  /// Streaming arrival or dependency release: `task` joins the shared pool.
+  void submit_task(TaskId task);
 
   void remove_from_available(TaskId task);
   void push_to_available(TaskId task);
@@ -279,6 +305,21 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   std::vector<std::uint32_t> available_pos_; ///< task -> index, or npos
   std::vector<PerGpu> per_gpu_;
   std::uint64_t use_clock_ = 0;
+
+  /// Unprocessed consumers per data (the lines 8-9 tie-break): +1 per input
+  /// when a task leaves kUnsubmitted, -1 when it reaches kDone.
+  std::vector<std::uint32_t> unprocessed_;
+
+  /// Single-input consumers per data (CSR): a single-input task whose input
+  /// is absent is the one free task no resident data reaches.
+  std::vector<std::uint32_t> single_input_offsets_;
+  std::vector<TaskId> single_input_consumers_;
+
+  // count_all_free_tasks state, reused across rounds.
+  std::vector<std::uint8_t> resident_;       ///< per data, this round
+  std::vector<std::uint32_t> free_counts_;   ///< n(D), listed data only
+  std::vector<std::uint32_t> visit_round_;   ///< per task: last round seen
+  std::uint32_t round_ = 0;
 
   /// Occupancy-sharing hints (armed by the first notify_occupancy; sharing
   /// off leaves pop order untouched).

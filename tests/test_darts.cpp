@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/task_graph.hpp"
-#include "workloads/matmul2d.hpp"
+#include "serve/serve_engine.hpp"
+#include "sim/engine.hpp"
+#include "sim/fault_injector.hpp"
+#include "workloads/workloads.hpp"
 
 namespace mg::core {
 namespace {
@@ -19,24 +24,27 @@ core::Platform one_gpu_platform() {
   return platform;
 }
 
-/// MemoryView stub with an explicit resident set.
+/// MemoryView stub with an explicit resident set and, optionally, data
+/// whose transfer is still in flight.
 class StubMemory final : public MemoryView {
  public:
-  explicit StubMemory(std::set<DataId> present = {})
-      : present_(std::move(present)) {}
+  explicit StubMemory(std::set<DataId> present = {},
+                      std::set<DataId> fetching = {})
+      : present_(std::move(present)), fetching_(std::move(fetching)) {}
   [[nodiscard]] bool is_present(DataId data) const override {
     return present_.contains(data);
   }
   [[nodiscard]] bool is_present_or_fetching(DataId data) const override {
-    return present_.contains(data);
+    return present_.contains(data) || fetching_.contains(data);
   }
   [[nodiscard]] std::uint64_t capacity_bytes() const override { return 1000; }
   [[nodiscard]] std::uint64_t used_bytes() const override {
-    return 10 * present_.size();
+    return 10 * (present_.size() + fetching_.size());
   }
 
  private:
   std::set<DataId> present_;
+  std::set<DataId> fetching_;
 };
 
 TEST(DartsName, ComposesVariantNames) {
@@ -83,6 +91,40 @@ TEST(Darts, TieBreakPrefersDataWithMoreConsumers) {
   darts.prepare(graph, one_gpu_platform(), 7);
   StubMemory memory({d_present});
   EXPECT_EQ(darts.pop_task(0, memory), t0);
+}
+
+TEST(Darts, FreeCountsCoverFetchingDataAndSingleInputTasks) {
+  // Nothing was announced loaded, so every data is still listed. p is
+  // present and f fetching; s, a and b are absent. The free counts are
+  // n(s) = 4 (single-input tasks on an absent data), n(f) = 3 (two tasks
+  // with every input resident plus a single-input one, all free through the
+  // listed-but-fetching f), n(p) = 2 (the same two all-resident tasks) and
+  // n(a) = 1; the task on a and b is two loads away and counts nowhere.
+  TaskGraphBuilder builder;
+  const DataId p = builder.add_data(10);
+  const DataId f = builder.add_data(10);
+  const DataId s = builder.add_data(10);
+  const DataId a = builder.add_data(10);
+  const DataId b = builder.add_data(10);
+  const TaskId t_pf0 = builder.add_task(1.0, {p, f});
+  const TaskId t_pf1 = builder.add_task(1.0, {p, f});
+  const TaskId t_f = builder.add_task(1.0, {f});
+  std::vector<TaskId> order;
+  for (int i = 0; i < 4; ++i) order.push_back(builder.add_task(1.0, {s}));
+  const TaskId t_pa = builder.add_task(1.0, {p, a});
+  const TaskId t_ab = builder.add_task(1.0, {a, b});
+  const TaskGraph graph = builder.build();
+  order.insert(order.end(), {t_pf0, t_pf1, t_f, t_pa, t_ab});
+
+  DartsScheduler darts;
+  darts.prepare(graph, one_gpu_platform(), 1);
+  StubMemory memory({p}, {f});
+  // s plans its four tasks, then f its three, then a the one on p; the
+  // last task frees nothing and comes from the random fallback.
+  for (const TaskId expected : order) {
+    EXPECT_EQ(darts.pop_task(0, memory), expected);
+  }
+  EXPECT_EQ(darts.pop_task(0, memory), kInvalidTask);
 }
 
 TEST(Darts, RandomTaskWhenNothingIsFree) {
@@ -351,6 +393,176 @@ TEST(DartsLuf, EvictionPolicyOnlyWiredWhenEnabled) {
   EXPECT_NE(with_luf.eviction_policy(0), nullptr);
   EXPECT_EQ(without_luf.eviction_policy(0), nullptr);
 }
+
+// --- Decision pins ----------------------------------------------------------
+//
+// Whole runs whose recorded trace, load and eviction counts and makespan are
+// pinned to constants: a change in which data a planning round picks, which
+// tasks it plans, which random draw breaks a tie or which victim LUF evicts
+// moves at least one of them. Rewrites of the free-task counting must keep
+// every pin.
+
+/// Outcome of one pinned run.
+struct Pin {
+  std::uint64_t trace_hash = 0;
+  std::uint64_t loads = 0;
+  std::uint64_t evictions = 0;
+  double makespan_us = 0.0;
+};
+
+/// 64-bit FNV-1a over the (kind, gpu, id) sequence of a recorded trace.
+std::uint64_t trace_fingerprint(const sim::Trace& trace) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](std::uint32_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const sim::TraceEvent& event : trace.events) {
+    mix(static_cast<std::uint32_t>(event.kind), 1);
+    mix(event.gpu, 4);
+    mix(event.id, 4);
+  }
+  return hash;
+}
+
+Pin pin_of(const sim::Trace& trace, const RunMetrics& metrics) {
+  return {trace_fingerprint(trace), metrics.total_loads(),
+          metrics.total_evictions(), metrics.makespan_us};
+}
+
+Pin run_batch(const TaskGraph& graph, std::uint32_t gpus,
+              std::uint64_t memory_mb, const DartsOptions& options,
+              const sim::FaultPlan* plan = nullptr) {
+  DartsScheduler darts(options);
+  sim::EngineConfig config;
+  config.record_trace = true;
+  config.seed = 7;
+  sim::RuntimeEngine engine(graph, make_v100_platform(gpus, memory_mb * kMB),
+                            darts, config);
+  std::optional<sim::FaultInjector> injector;
+  if (plan != nullptr) {
+    injector.emplace(*plan);
+    engine.set_fault_injector(&*injector);
+  }
+  const RunMetrics metrics = engine.run();
+  if (plan != nullptr) {
+    EXPECT_EQ(metrics.faults.gpu_losses, plan->gpu_losses.size());
+  }
+  return pin_of(engine.trace(), metrics);
+}
+
+Pin run_matmul2d_luf() {
+  return run_batch(work::make_matmul_2d({.n = 60}), 4, 200, {});
+}
+
+Pin run_matmul2d_lru() {
+  return run_batch(work::make_matmul_2d({.n = 60}), 4, 200,
+                   {.use_luf = false});
+}
+
+Pin run_matmul2d_three_inputs() {
+  return run_batch(work::make_matmul_2d({.n = 60}), 2, 150,
+                   {.use_luf = true, .three_inputs = true});
+}
+
+Pin run_matmul3d() {
+  return run_batch(work::make_matmul_3d({.n = 12}), 4, 200, {});
+}
+
+Pin run_cholesky_tasks() {
+  return run_batch(work::make_cholesky_tasks({.n = 16}), 4, 100, {});
+}
+
+Pin run_cholesky_dag() {
+  return run_batch(
+      work::make_cholesky_tasks({.n = 16, .with_dependencies = true}), 4,
+      100, {});
+}
+
+Pin run_random_bipartite() {
+  return run_batch(work::make_random_bipartite({.num_tasks = 600,
+                                                .num_data = 150,
+                                                .min_inputs = 1,
+                                                .max_inputs = 3,
+                                                .seed = 5}),
+                   2, 150, {});
+}
+
+Pin run_gpu_loss() {
+  sim::FaultPlan plan;
+  plan.gpu_losses.push_back({40'000.0, 1});
+  return run_batch(work::make_matmul_2d({.n = 40}), 4, 200, {}, &plan);
+}
+
+Pin run_tiered_stream() {
+  // Closed-loop arrivals (no exponential draws) of two templates whose jobs
+  // carry priorities 0-2: the tier boost is live in every planning round.
+  const std::vector<TaskGraph> templates = {
+      work::make_matmul_2d({.n = 5}), work::make_matmul_2d({.n = 6})};
+  std::vector<serve::JobSpec> jobs(24);
+  for (std::uint32_t job = 0; job < jobs.size(); ++job) {
+    jobs[job].graph = job % 2;
+    jobs[job].priority = job % 3;
+  }
+  serve::ServeConfig config;
+  config.arrival.mode = serve::ArrivalMode::kClosedLoop;
+  config.arrival.concurrency = 4;
+  config.engine.record_trace = true;
+  config.engine.seed = 7;
+  DartsScheduler darts({.use_luf = true, .tier_boost = 2.0});
+  serve::ServeEngine engine(templates, jobs, make_v100_platform(2, 100 * kMB),
+                            darts, config);
+  const serve::ServeResult result = engine.run();
+  EXPECT_EQ(result.serving.jobs_completed, jobs.size());
+  return pin_of(engine.engine().trace(), result.metrics);
+}
+
+struct PinCase {
+  const char* name;
+  Pin (*run)();
+  Pin expected;
+};
+
+// Reference values: counting n(D) per data by its definition gives these
+// runs, and the full scan's resident-side count must reproduce them.
+const PinCase kPinCases[] = {
+    {"Matmul2dLuf", run_matmul2d_luf,
+     {0x7dba49eb51f54af4ULL, 749, 693, 667117.0550064136}},
+    {"Matmul2dLru", run_matmul2d_lru,
+     {0xfaad0d745f97fe73ULL, 821, 765, 746448.70218063926}},
+    {"Matmul2dThreeInputs", run_matmul2d_three_inputs,
+     {0x35a1f4e4f55a8088ULL, 972, 952, 1058019.6944088042}},
+    {"Matmul3d", run_matmul3d,
+     {0x3f7a8bdd673cb6dbULL, 448, 392, 488184.13412264833}},
+    {"CholeskyTasks", run_cholesky_tasks,
+     {0xd24b583eb198c392ULL, 457, 349, 112281.31482683083}},
+    {"CholeskyDag", run_cholesky_dag,
+     {0xa686dc75107478d1ULL, 811, 703, 200086.89579717504}},
+    {"RandomBipartite", run_random_bipartite,
+     {0x7e8461343ca3b386ULL, 789, 769, 705333.98023089103}},
+    {"GpuLoss", run_gpu_loss,
+     {0xf80be78b92e9e568ULL, 330, 277, 335722.68241152837}},
+    {"TieredStream", run_tiered_stream,
+     {0x99f63e8d2350119bULL, 414, 400, 397216.79544254154}},
+};
+
+class DartsDecisionPin : public testing::TestWithParam<PinCase> {};
+
+TEST_P(DartsDecisionPin, RunRepeatsExactly) {
+  const PinCase& pin_case = GetParam();
+  const Pin actual = pin_case.run();
+  EXPECT_EQ(actual.trace_hash, pin_case.expected.trace_hash);
+  EXPECT_EQ(actual.loads, pin_case.expected.loads);
+  EXPECT_EQ(actual.evictions, pin_case.expected.evictions);
+  EXPECT_DOUBLE_EQ(actual.makespan_us, pin_case.expected.makespan_us);
+}
+
+INSTANTIATE_TEST_SUITE_P(Runs, DartsDecisionPin, testing::ValuesIn(kPinCases),
+                         [](const testing::TestParamInfo<PinCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace mg::core

@@ -311,7 +311,8 @@ INSTANTIATE_TEST_SUITE_P(Workloads, IncrementalEndToEnd,
 
 TEST(DartsIncremental, DecisionCostBeatsScanOnWideGraphs) {
   // The point of the variant: planning cost per round is O(|data|), not
-  // O(total consumer degree). Compare accumulated pop wall time.
+  // the full scan's O(consumer degree of the resident data). Compare
+  // accumulated pop wall time.
   const TaskGraph graph = work::make_matmul_2d({.n = 48});
   const core::Platform platform = make_v100_platform(1);
 
