@@ -14,6 +14,7 @@
 #include "matmul_points.hpp"
 #include "sched/fixed_order.hpp"
 #include "sim/engine.hpp"
+#include "sim/run_report.hpp"
 #include "util/csv.hpp"
 
 int main(int argc, char** argv) {
@@ -41,11 +42,10 @@ int main(int argc, char** argv) {
 
     // Reference run: live DARTS+LUF, trace recorded.
     core::DartsScheduler darts_luf;
-    sim::EngineConfig engine_config;
-    engine_config.seed = config.seed;
-    engine_config.record_trace = true;
     sim::RuntimeEngine reference(graph, config.platform, darts_luf,
-                                 engine_config);
+                                 {.seed = config.seed});
+    sim::RunReportCollector recorder;
+    reference.add_inspector(&recorder);
     const core::RunMetrics luf_metrics =
         observer.run(reference, graph, "DARTS+LUF (live) n=" + std::to_string(n));
     csv.row({ws_mb, std::string("DARTS+LUF (live)"),
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     // Frozen order replays.
     std::vector<std::vector<core::TaskId>> orders;
     for (core::GpuId gpu = 0; gpu < config.platform.num_gpus; ++gpu) {
-      orders.push_back(reference.trace().execution_order(gpu));
+      orders.push_back(recorder.trace().execution_order(gpu));
     }
     for (const bool belady : {false, true}) {
       sched::FixedOrderScheduler replay(

@@ -112,6 +112,13 @@ int main(int argc, char** argv) {
   }
 
   const double occupancy_threshold = flags.get_double("occupancy-threshold");
+  if (occupancy_threshold > 0.0 && (config.checkpoint_interval_us > 0.0 ||
+                                    config.checkpoint_fraction > 0.0)) {
+    std::fprintf(stderr,
+                 "checkpointing cannot be combined with GPU sharing "
+                 "(--occupancy-threshold > 0)\n");
+    return 2;
+  }
   std::vector<core::TaskGraph> templates;
   templates.push_back(work::make_matmul_2d(
       {.n = static_cast<std::uint32_t>(flags.get_int("n")),
@@ -179,6 +186,10 @@ int main(int argc, char** argv) {
       serve_config.share_data = !flags.get_bool("no-share");
       serve_config.engine.seed = config.seed;
       serve_config.engine.occupancy_threshold = occupancy_threshold;
+      serve_config.engine.checkpoint_interval_us =
+          config.checkpoint_interval_us;
+      serve_config.engine.checkpoint_fraction = config.checkpoint_fraction;
+      serve_config.engine.replicate_hot = config.replicate_hot;
       if (num_tiers > 0) {
         serve_config.slo.enabled = true;
         serve_config.slo.tiers = slo::TierPolicy::even(num_tiers);

@@ -15,7 +15,6 @@
 #include "analysis/offline_model.hpp"
 #include "analysis/schedule_io.hpp"
 #include "analysis/trace_export.hpp"
-#include "analysis/validate.hpp"
 #include "cluster/hierarchical.hpp"
 #include "cluster/locality.hpp"
 #include "core/darts.hpp"
@@ -27,6 +26,8 @@
 #include "sim/engine.hpp"
 #include "sim/engine_guard.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/invariant_checker.hpp"
+#include "sim/run_report.hpp"
 #include "util/flags.hpp"
 #include "workloads/workloads.hpp"
 
@@ -126,7 +127,8 @@ int main(int argc, char** argv) {
       .define_string("speeds", "",
                      "comma-separated per-GPU GFlop/s for heterogeneous "
                      "platforms (overrides --gpus count)")
-      .define_bool("validate", true, "validate the execution trace")
+      .define_bool("validate", true,
+                   "check the run online against the execution model")
       .define_bool("stats", false, "print data-reuse statistics")
       .define_string("trace-json", "",
                      "write a chrome://tracing JSON to this path")
@@ -217,10 +219,6 @@ int main(int argc, char** argv) {
   config.pipeline_depth =
       static_cast<std::uint32_t>(flags.get_int("pipeline-depth"));
   config.account_scheduler_cost = flags.get_bool("sched-cost");
-  config.record_trace = flags.get_bool("validate") ||
-                        flags.get_bool("stats") ||
-                        !flags.get_string("trace-json").empty() ||
-                        !flags.get_string("save-schedule").empty();
   config.checkpoint_interval_us = flags.get_double("checkpoint-interval");
   config.checkpoint_fraction = flags.get_double("checkpoint-fraction");
   config.replicate_hot = flags.get_bool("replicate-hot");
@@ -240,8 +238,19 @@ int main(int argc, char** argv) {
 
   sim::RuntimeEngine engine(graph, platform, *scheduler, config);
   if (injector != nullptr) engine.set_fault_injector(injector.get());
+  // --validate checks the run online, faulted runs included; the collector
+  // records the execution trace the --stats, --save-schedule and
+  // --trace-json outputs read.
+  sim::InvariantChecker checker({.fail_fast = false});
+  if (flags.get_bool("validate")) engine.add_inspector(&checker);
+  sim::RunReportCollector collector;
+  if (flags.get_bool("stats") || !flags.get_string("trace-json").empty() ||
+      !flags.get_string("save-schedule").empty()) {
+    engine.add_inspector(&collector);
+  }
   const core::RunMetrics metrics =
       sim::run_engine_or_exit(engine, "memsched_run");
+  const sim::Trace& trace = collector.trace();
 
   std::printf("workload   : %s N=%lld (%u tasks, %u data, %.0f MB)\n",
               flags.get_string("workload").c_str(),
@@ -333,22 +342,14 @@ int main(int argc, char** argv) {
   }
 
   if (flags.get_bool("validate")) {
-    if (injector != nullptr) {
-      // A bare trace cannot express GPU losses or reclaimed re-runs; the
-      // online InvariantChecker covers faulted runs instead.
-      std::printf("trace      : validation skipped (fault plan active)\n");
-    } else {
-      const auto validation =
-          analysis::validate_trace(graph, platform, engine.trace());
-      std::printf("trace      : %s\n",
-                  validation.ok ? "valid" : validation.error.c_str());
-      if (!validation.ok) return 1;
-    }
+    std::printf("trace      : %s\n",
+                checker.ok() ? "valid" : checker.report().error.c_str());
+    if (!checker.ok()) return 1;
   }
 
   if (flags.get_bool("stats")) {
     const analysis::ReuseStats stats =
-        analysis::compute_reuse_stats(graph, platform, engine.trace());
+        analysis::compute_reuse_stats(graph, platform, trace);
     std::printf("reuse      : %llu loads over %llu used data (mean %.2f "
                 "loads/data, %llu reloads)\n",
                 static_cast<unsigned long long>(stats.total_loads),
@@ -366,7 +367,7 @@ int main(int argc, char** argv) {
     for (core::GpuId gpu = 0; gpu < platform.num_gpus; ++gpu) {
       std::printf(" %.0fMB",
                   static_cast<double>(analysis::max_live_footprint(
-                      graph, engine.trace().execution_order(gpu))) /
+                      graph, trace.execution_order(gpu))) /
                       1e6);
     }
     std::printf("\n");
@@ -376,7 +377,7 @@ int main(int argc, char** argv) {
   if (!schedule_path.empty()) {
     analysis::Schedule schedule;
     for (core::GpuId gpu = 0; gpu < platform.num_gpus; ++gpu) {
-      schedule.push_back(engine.trace().execution_order(gpu));
+      schedule.push_back(trace.execution_order(gpu));
     }
     if (analysis::save_schedule(schedule, schedule_path)) {
       std::printf("schedule   : %s\n", schedule_path.c_str());
@@ -389,8 +390,7 @@ int main(int argc, char** argv) {
 
   const std::string trace_path = flags.get_string("trace-json");
   if (!trace_path.empty()) {
-    if (analysis::export_chrome_trace(graph, platform, engine.trace(),
-                                      trace_path)) {
+    if (analysis::export_chrome_trace(graph, platform, trace, trace_path)) {
       std::printf("trace json : %s\n", trace_path.c_str());
     } else {
       std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());

@@ -19,6 +19,14 @@ using core::TaskId;
 /// "No reachable holder" answer of pick_hedge_source.
 constexpr core::NodeId kNoNode = 0xffffffffu;
 
+/// Transfer-retry backoff: the n-th failed attempt (and the n-th re-armed
+/// fetch deadline) waits min(base * 2^(n-1), cap) microseconds.
+constexpr double kRetryBackoffBaseUs = 20.0;
+constexpr double kRetryBackoffCapUs = 2000.0;
+
+/// Events kept for the watchdog's BudgetExceededError excerpt.
+constexpr std::size_t kWatchdogTail = 32;
+
 RuntimeEngine::RuntimeEngine(const core::TaskGraph& graph,
                              const core::Platform& platform,
                              core::Scheduler& scheduler, EngineConfig config)
@@ -327,10 +335,6 @@ void RuntimeEngine::complete_rider(GpuId gpu, TaskId rider) {
   }
   publish(InspectorEventKind::kTaskStart, gpu, rider);
   publish(InspectorEventKind::kTaskEnd, gpu, rider);
-  if (config_.record_trace) {
-    trace_.events.push_back({events_.now(), TraceKind::kTaskStart, gpu, rider});
-    trace_.events.push_back({events_.now(), TraceKind::kTaskEnd, gpu, rider});
-  }
   if (replication_active_) {
     for (DataId data : graph_.inputs(rider)) {
       MG_DCHECK(remaining_uses_[data] > 0);
@@ -397,11 +401,7 @@ void RuntimeEngine::publish_slow(InspectorEventKind kind, GpuId gpu,
   event.bytes = bytes;
   event.channel = channel;
   event.aux = aux;
-  if (watchdog_log_) {
-    constexpr std::size_t kWatchdogTail = 32;
-    watchdog_recent_.push_back(format_inspector_event(event));
-    if (watchdog_recent_.size() > kWatchdogTail) watchdog_recent_.pop_front();
-  }
+  if (watchdog_log_) watchdog_recent_.push(event);
   for (Inspector* inspector : inspectors_) inspector->on_event(event);
 }
 
@@ -613,6 +613,7 @@ core::RunMetrics RuntimeEngine::run() {
     if (!problem.empty()) throw EngineError("invalid fault plan: " + problem);
   }
   watchdog_log_ = config_.max_events > 0 || config_.max_sim_time_us > 0.0;
+  if (watchdog_log_) watchdog_recent_ = RecentEvents(kWatchdogTail);
   alive_gpus_ = platform_.num_gpus;
 
   MG_CHECK_MSG(config_.checkpoint_interval_us >= 0.0 &&
@@ -819,13 +820,9 @@ core::RunMetrics RuntimeEngine::run() {
         message += serving;
       }
       message += format_engine_state();
-      if (!watchdog_recent_.empty()) {
+      if (watchdog_recent_.size() > 0) {
         message += "recent events:\n";
-        for (const std::string& line : watchdog_recent_) {
-          message += "  ";
-          message += line;
-          message += '\n';
-        }
+        message += watchdog_recent_.render();
       }
       throw BudgetExceededError(message);
     }
@@ -1033,10 +1030,6 @@ void RuntimeEngine::start_task(GpuId gpu, TaskId task) {
               static_cast<std::uint64_t>(base_duration), kNoChannel,
               static_cast<std::uint32_t>(fused_riders_[task].size()));
     }
-    if (config_.record_trace) {
-      trace_.events.push_back(
-          {events_.now(), TraceKind::kTaskStart, gpu, task});
-    }
     occ_reschedule(gpu);
     if (!state.buffer.empty()) begin_assembly(gpu);
     fill_buffer(gpu);
@@ -1048,10 +1041,6 @@ void RuntimeEngine::start_task(GpuId gpu, TaskId task) {
     publish(InspectorEventKind::kSuperTaskLaunched, gpu, task,
             static_cast<std::uint64_t>(base_duration), kNoChannel,
             static_cast<std::uint32_t>(fused_riders_[task].size()));
-  }
-  if (config_.record_trace) {
-    trace_.events.push_back(
-        {events_.now(), TraceKind::kTaskStart, gpu, task});
   }
   double duration = base_duration;
   if (checkpointing_enabled() && base_duration > 0.0) {
@@ -1189,9 +1178,6 @@ void RuntimeEngine::complete_task(GpuId gpu, TaskId task) {
   ++completed_;
   last_completion_us_ = events_.now();
   publish(InspectorEventKind::kTaskEnd, gpu, task);
-  if (config_.record_trace) {
-    trace_.events.push_back({events_.now(), TraceKind::kTaskEnd, gpu, task});
-  }
   if (!orphan_lost_at_us_.empty() && orphan_lost_at_us_[task] >= 0.0) {
     // An orphan finished its re-run on a survivor: the recovery latency is
     // the span from the loss that reclaimed it to this completion.
@@ -1242,12 +1228,10 @@ void RuntimeEngine::complete_task(GpuId gpu, TaskId task) {
       }
       wb_state.bytes_written_back += output_bytes;
       publish(InspectorEventKind::kWriteBackEnd, gpu, task, output_bytes);
-      if (config_.record_trace) {
-        trace_.events.push_back(
-            {events_.now(), TraceKind::kWriteBack, gpu, task});
-      }
-      wb_state.memory->release_scratch(output_bytes);
+      // Published before the release: freeing the scratch may restart a
+      // stalled fetch, whose commitment must follow the release.
       publish(InspectorEventKind::kScratchRelease, gpu, task, output_bytes);
+      wb_state.memory->release_scratch(output_bytes);
       if (topology_active_ && !wb_state.active) {
         // The last write-back of a draining node may complete its drain.
         maybe_finish_drain(platform_.node_of(gpu));
@@ -1415,9 +1399,9 @@ void RuntimeEngine::eject_revoked(GpuId lost_gpu, TaskId task) {
       state.assembly_active = false;
       if (state.scratch_reserved) {
         const std::uint64_t output_bytes = graph_.task_output_bytes(task);
+        publish(InspectorEventKind::kScratchRelease, gpu, task, output_bytes);
         state.memory->release_scratch(output_bytes);
         state.scratch_reserved = false;
-        publish(InspectorEventKind::kScratchRelease, gpu, task, output_bytes);
       }
       if (!state.buffer.empty()) begin_assembly(gpu);
     }
@@ -1475,11 +1459,6 @@ void RuntimeEngine::on_data_loaded(GpuId gpu, DataId data) {
   }
   publish(InspectorEventKind::kLoadComplete, gpu, data,
           graph_.data_size(data), kNoChannel, from_peer ? 1 : 0);
-  if (config_.record_trace) {
-    trace_.events.push_back(
-        {events_.now(), from_peer ? TraceKind::kPeerLoad : TraceKind::kLoad,
-         gpu, data});
-  }
   scheduler_.notify_data_loaded(gpu, data);
   publish(InspectorEventKind::kNotifyDataLoaded, gpu, data);
   // If the landed data is an input of the task being assembled, pin it so a
@@ -1508,9 +1487,6 @@ void RuntimeEngine::on_data_evicted(GpuId gpu, DataId data) {
   ++state.evictions;
   publish(InspectorEventKind::kEvict, gpu, data, graph_.data_size(data),
           kNoChannel, state.memory->pin_count(data));
-  if (config_.record_trace) {
-    trace_.events.push_back({events_.now(), TraceKind::kEvict, gpu, data});
-  }
   scheduler_.notify_data_evicted(gpu, data);
   publish(InspectorEventKind::kNotifyDataEvicted, gpu, data);
   // The freed space may admit the next push-time prefetch hint — but this
@@ -1695,9 +1671,8 @@ void RuntimeEngine::attach_fault_hooks() {
               attempt);
       const double exponent =
           static_cast<double>(std::min<std::uint32_t>(attempt - 1, 30));
-      double backoff = std::min(config_.retry_backoff_cap_us,
-                                config_.retry_backoff_base_us *
-                                    std::exp2(exponent));
+      double backoff = std::min(kRetryBackoffCapUs,
+                                kRetryBackoffBaseUs * std::exp2(exponent));
       if (config_.retry_jitter > 0.0) {
         // One xorshift64 draw per failed attempt de-synchronizes concurrent
         // retries; with the knob at its default of 0 no draw happens and the
@@ -1904,10 +1879,10 @@ void RuntimeEngine::begin_node_drain(core::NodeId node) {
       if (state.scratch_reserved) {
         const std::uint64_t output_bytes =
             graph_.task_output_bytes(state.buffer.front());
-        state.memory->release_scratch(output_bytes);
-        state.scratch_reserved = false;
         publish(InspectorEventKind::kScratchRelease, gpu, state.buffer.front(),
                 output_bytes);
+        state.memory->release_scratch(output_bytes);
+        state.scratch_reserved = false;
       }
     }
     for (TaskId task : state.buffer) pulled.emplace_back(gpu, task);
@@ -2499,9 +2474,8 @@ void RuntimeEngine::on_fetch_deadline(core::NodeId dest, DataId data,
   const double exponent =
       static_cast<double>(std::min<std::uint32_t>(fetch.retries, 30));
   ++fetch.retries;
-  const double backoff = std::min(
-      config_.retry_backoff_cap_us,
-      config_.retry_backoff_base_us * std::exp2(exponent));
+  const double backoff =
+      std::min(kRetryBackoffCapUs, kRetryBackoffBaseUs * std::exp2(exponent));
   arm_fetch_deadline(dest, data, bytes, fetch_deadline_us(bytes) + backoff);
 }
 

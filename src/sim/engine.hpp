@@ -38,7 +38,6 @@
 #include "sim/inspector.hpp"
 #include "sim/lru_eviction.hpp"
 #include "sim/memory_manager.hpp"
-#include "sim/trace.hpp"
 
 namespace mg::sim {
 
@@ -56,9 +55,6 @@ struct EngineConfig {
   /// full strength (see abl_push_prefetch).
   bool hints_may_evict = false;
 
-  /// Record a Trace of loads/evictions/task starts/ends.
-  bool record_trace = false;
-
   /// Seed forwarded to Scheduler::prepare.
   std::uint64_t seed = 42;
 
@@ -69,16 +65,12 @@ struct EngineConfig {
   std::uint64_t max_events = 0;
   double max_sim_time_us = 0.0;
 
-  /// Transfer-retry backoff under fault injection: the n-th failed attempt
-  /// re-enters its queue after min(base * 2^(n-1), cap) microseconds.
-  double retry_backoff_base_us = 20.0;
-  double retry_backoff_cap_us = 2000.0;
-
-  /// Seeded jitter on the retry backoff: each backoff is multiplied by
-  /// (1 + retry_jitter * u) with u drawn uniformly from [0, 1) by a
-  /// dedicated RNG (seeded from `seed`), so concurrent failed fetches stop
-  /// retrying in lockstep. 0 (the default) draws nothing and keeps runs
-  /// byte-identical to the deterministic schedule.
+  /// Seeded jitter on the transfer-retry backoff (the n-th failed attempt
+  /// re-enters its queue after min(20 * 2^(n-1), 2000) microseconds): each
+  /// backoff is multiplied by (1 + retry_jitter * u) with u drawn uniformly
+  /// from [0, 1) by a dedicated RNG (seeded from `seed`), so concurrent
+  /// failed fetches stop retrying in lockstep. 0 (the default) draws
+  /// nothing and keeps runs byte-identical to the deterministic schedule.
   double retry_jitter = 0.0;
 
   /// Remote-fetch timeout (multi-node platforms): a network fetch that has
@@ -220,8 +212,6 @@ class RuntimeEngine final : private MemoryManager::Observer,
   [[nodiscard]] std::uint32_t jobs_in_flight() const {
     return jobs_released_ - jobs_retired_;
   }
-
-  [[nodiscard]] const Trace& trace() const { return trace_; }
 
   [[nodiscard]] const core::Platform& platform() const { return platform_; }
 
@@ -562,7 +552,6 @@ class RuntimeEngine final : private MemoryManager::Observer,
   double last_completion_us_ = 0.0;
   double pop_wall_us_ = 0.0;
   double prepare_wall_us_ = 0.0;
-  Trace trace_;
   std::vector<Inspector*> inspectors_;
   bool ran_ = false;
 
@@ -696,10 +685,10 @@ class RuntimeEngine final : private MemoryManager::Observer,
   /// event from an earlier suspicion cannot escalate a healed node.
   std::vector<std::uint32_t> suspicion_epoch_;
 
-  /// Watchdog: when a budget is set, keep a short tail of formatted events
-  /// for the BudgetExceededError excerpt.
+  /// Watchdog: when a budget is set, keep the last raw events for the
+  /// BudgetExceededError excerpt.
   bool watchdog_log_ = false;
-  std::deque<std::string> watchdog_recent_;
+  RecentEvents watchdog_recent_;
 
   // Dependency (DAG) state. All dormant — and cost-free on the hot paths —
   // when the graph carries no dependency edges.

@@ -293,4 +293,15 @@ std::string format_inspector_event(const InspectorEvent& event) {
   return line;
 }
 
+std::string RecentEvents::render() const {
+  std::string text;
+  const std::size_t oldest = size_ < ring_.size() ? 0 : next_;
+  for (std::size_t i = 0; i < size_; ++i) {
+    text += "  ";
+    text += format_inspector_event(ring_[(oldest + i) % ring_.size()]);
+    text += '\n';
+  }
+  return text;
+}
+
 }  // namespace mg::sim

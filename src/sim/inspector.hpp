@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/ids.hpp"
 #include "core/platform.hpp"
@@ -214,6 +215,30 @@ struct InspectorEvent {
 
 /// One-line rendering used by diagnostics and the checker's log excerpt.
 [[nodiscard]] std::string format_inspector_event(const InspectorEvent& event);
+
+/// Ring of the last `capacity` events of a stream, kept raw for a diagnostic
+/// excerpt: recording an event is one copy, and only render() formats.
+class RecentEvents {
+ public:
+  explicit RecentEvents(std::size_t capacity = 0) : ring_(capacity) {}
+
+  void push(const InspectorEvent& event) {
+    if (ring_.empty()) return;
+    ring_[next_] = event;
+    next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
+    if (size_ < ring_.size()) ++size_;
+  }
+  void clear() { next_ = size_ = 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// One "  <format_inspector_event>" line per event, oldest first.
+  [[nodiscard]] std::string render() const;
+
+ private:
+  std::vector<InspectorEvent> ring_;
+  std::size_t next_ = 0;  ///< slot the next event overwrites
+  std::size_t size_ = 0;
+};
 
 class Inspector {
  public:

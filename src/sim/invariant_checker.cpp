@@ -19,7 +19,8 @@ std::string describe(const char* what, const InspectorEvent& event) {
 
 InvariantChecker::InvariantChecker() : InvariantChecker(Options{}) {}
 
-InvariantChecker::InvariantChecker(Options options) : options_(options) {}
+InvariantChecker::InvariantChecker(Options options)
+    : options_(options), recent_(options.log_window) {}
 
 void InvariantChecker::on_run_begin(const core::TaskGraph& graph,
                                     const core::Platform& platform,
@@ -85,27 +86,12 @@ void InvariantChecker::on_run_begin(const core::TaskGraph& graph,
   report_ = Report{};
 }
 
-void InvariantChecker::remember(const InspectorEvent& event) {
-  recent_.push_back(format_inspector_event(event));
-  if (recent_.size() > options_.log_window) recent_.pop_front();
-}
-
-std::string InvariantChecker::render_excerpt() const {
-  std::string excerpt;
-  for (const std::string& line : recent_) {
-    excerpt += "  ";
-    excerpt += line;
-    excerpt += '\n';
-  }
-  return excerpt;
-}
-
 void InvariantChecker::fail_text(const std::string& message) {
   if (!ok_) return;  // keep the first violation
   ok_ = false;
   report_.ok = false;
   report_.error = message;
-  report_.excerpt = render_excerpt();
+  report_.excerpt = recent_.render();
   if (options_.fail_fast) {
     std::fprintf(stderr,
                  "InvariantChecker: %s\nlast %zu events before the "
@@ -126,7 +112,7 @@ void InvariantChecker::on_event(const InspectorEvent& event) {
     return fail_text("on_event before on_run_begin");
   }
   ++events_;
-  remember(event);
+  recent_.push(event);
 
   if (event.time_us + 1e-9 < last_time_us_) {
     return fail(event, "time went backwards");
@@ -228,27 +214,18 @@ void InvariantChecker::on_event(const InspectorEvent& event) {
       if (gpu.resident[event.id] != 0) {
         return fail(event, "load of already-resident data");
       }
-      if (options_.online) {
-        // The fetch committed the bytes; the landing only flips residency.
-        if (gpu.in_flight[event.id] == 0) {
-          return fail(event, "load without a preceding fetch");
-        }
-        gpu.in_flight[event.id] = 0;
-      } else {
-        gpu.committed_bytes += graph_->data_size(event.id);
+      // The fetch committed the bytes; the landing only flips residency.
+      if (gpu.in_flight[event.id] == 0) {
+        return fail(event, "load without a preceding fetch");
       }
+      gpu.in_flight[event.id] = 0;
       gpu.resident[event.id] = 1;
       gpu.resident_bytes += graph_->data_size(event.id);
-      if (options_.online) {
-        // A transfer committed before a capacity shock may land after it
-        // (grandfathered); the fetch-time check already bounded the
-        // commitment, so landing only needs residency <= commitment.
-        if (gpu.resident_bytes > gpu.committed_bytes) {
-          return fail(event, "resident bytes exceed committed bytes");
-        }
-      } else if (gpu.resident_bytes > gpu.capacity_bytes ||
-                 gpu.committed_bytes > gpu.capacity_bytes) {
-        return fail(event, "memory bound exceeded");
+      // A transfer committed before a capacity shock may land after it
+      // (grandfathered); the fetch-time check already bounded the
+      // commitment, so landing only needs residency <= commitment.
+      if (gpu.resident_bytes > gpu.committed_bytes) {
+        return fail(event, "resident bytes exceed committed bytes");
       }
       break;
     }
@@ -473,7 +450,7 @@ void InvariantChecker::on_event(const InspectorEvent& event) {
         return fail(event, "transfer retry of unknown data");
       }
       if (!gpu.alive) return fail(event, "transfer retry towards a dead gpu");
-      if (options_.online && gpu.in_flight[event.id] == 0) {
+      if (gpu.in_flight[event.id] == 0) {
         // A retried transfer must still be in flight: delivery-then-retry
         // would mean the same bytes arrive twice.
         return fail(event, "retry of a transfer that already delivered");
@@ -578,8 +555,7 @@ void InvariantChecker::on_event(const InspectorEvent& event) {
     }
     case InspectorEventKind::kReplicaCreate: {
       if (event.id >= num_data) return fail(event, "replica of unknown data");
-      if (options_.online && gpu.in_flight[event.id] == 0 &&
-          gpu.resident[event.id] == 0) {
+      if (gpu.in_flight[event.id] == 0 && gpu.resident[event.id] == 0) {
         return fail(event, "replica created without a fetch");
       }
       break;
@@ -1140,7 +1116,8 @@ void InvariantChecker::on_event(const InspectorEvent& event) {
   }
 }
 
-void InvariantChecker::finish() {
+void InvariantChecker::on_run_end(double makespan_us) {
+  (void)makespan_us;
   if (!ok_) return;
   for (std::uint32_t task = 0; task < started_.size(); ++task) {
     if (cancelled_[task] != 0) {
@@ -1156,7 +1133,7 @@ void InvariantChecker::finish() {
                     "task %u executed %u times (expected once)", task, runs);
       return fail_text(buffer);
     }
-    if (options_.online && complete_notified_[task] == 0) {
+    if (complete_notified_[task] == 0) {
       char buffer[96];
       std::snprintf(buffer, sizeof buffer,
                     "task %u completed but never notified", task);
@@ -1250,11 +1227,6 @@ void InvariantChecker::finish() {
                   static_cast<unsigned long long>(migrate_done_bytes_));
     return fail_text(buffer);
   }
-}
-
-void InvariantChecker::on_run_end(double makespan_us) {
-  (void)makespan_us;
-  finish();
 }
 
 }  // namespace mg::sim

@@ -1,14 +1,13 @@
 // Online invariant checker — validates the Section-III execution model as
-// the simulation runs instead of post-hoc.
+// the simulation runs, from the engine's inspector event stream.
 //
 // One instance holds the single authoritative definition of the model's
-// invariants; analysis::validate_trace replays a recorded sim::Trace
-// through the same instance, so the online and post-hoc paths can never
-// disagree on what "valid" means. Checked continuously:
+// invariants: attach it to a RuntimeEngine (or ServeEngine) with
+// add_inspector, or feed it a hand-built event stream. Checked
+// continuously:
 //
 //   * committed GPU memory (resident + in-flight + scratch) never exceeds M,
-//     and resident bytes alone never exceed M (the only form a bare trace
-//     can express);
+//     and every landed load was committed by an earlier fetch;
 //   * every task starts exactly once, on an idle GPU, with every input
 //     resident; every started task ends;
 //   * evictions only remove resident, unpinned data that no running task is
@@ -80,11 +79,11 @@
 // On violation the checker either aborts immediately with the offending
 // event plus a log excerpt of the events leading up to it (fail_fast, the
 // default — a plausible-but-wrong trace never survives to a figure), or
-// records the first violation for inspection via report() (tests).
+// records the first violation for inspection via report() (tests and
+// `memsched_run --validate`).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -98,12 +97,6 @@ class InvariantChecker final : public Inspector {
     /// Abort with the diagnostic on the first violation. When false, the
     /// first violation is recorded and later events are ignored.
     bool fail_fast = true;
-
-    /// The event stream carries fetch/scratch/transfer/notify events
-    /// (online engine feed). Replayed bare traces (analysis::validate_trace)
-    /// set false: commitment accounting then tracks resident bytes only and
-    /// the notify/transfer completeness checks are skipped.
-    bool online = true;
 
     /// Number of recent events kept for the diagnostic excerpt.
     std::size_t log_window = 24;
@@ -123,12 +116,9 @@ class InvariantChecker final : public Inspector {
                     const core::Platform& platform,
                     std::string_view scheduler_name) override;
   void on_event(const InspectorEvent& event) override;
+  /// Runs the end-of-run completeness checks (exactly-once execution, no
+  /// task left running, every completion notified, bytes conserved).
   void on_run_end(double makespan_us) override;
-
-  /// End-of-run completeness checks (exactly-once execution, no task left
-  /// running, no transfer left on a wire, every completion notified).
-  /// Called by on_run_end; call directly when replaying a bare trace.
-  void finish();
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] const Report& report() const { return report_; }
@@ -157,8 +147,6 @@ class InvariantChecker final : public Inspector {
 
   void fail(const InspectorEvent& event, const char* what);
   void fail_text(const std::string& message);
-  void remember(const InspectorEvent& event);
-  [[nodiscard]] std::string render_excerpt() const;
 
   Options options_;
   const core::TaskGraph* graph_ = nullptr;
@@ -234,7 +222,7 @@ class InvariantChecker final : public Inspector {
   double last_time_us_ = 0.0;
   std::uint64_t events_ = 0;
 
-  std::deque<std::string> recent_;
+  RecentEvents recent_;
   bool ok_ = true;
   Report report_;
 };

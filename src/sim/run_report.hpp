@@ -8,8 +8,9 @@
 // policy driving each GPU, demand-vs-prefetch load counts, and — when a
 // fault plan is active — fault/recovery statistics (GPU losses, capacity
 // shocks, reclaimed tasks, transfer retries, recovery latencies). It also
-// mirrors the engine's execution Trace so a Chrome-tracing timeline can be
-// exported without separately enabling EngineConfig::record_trace.
+// mirrors the run's execution Trace (loads, evictions, task starts/ends,
+// write-backs) — the one way to record a trace, for the Chrome-tracing
+// timeline, the reuse statistics and fixed-order replays.
 //
 // The report serializes to JSON (schema documented in
 // docs/OBSERVABILITY.md, schema_version 6); bench/figure_harness exposes it

@@ -1,7 +1,8 @@
 // Execution trace: the ordered record of loads, evictions, task starts and
-// completions of a simulation. Consumed by analysis::validate_trace (memory
-// bound / residency invariants) and by the ablation benches that replay a
-// recorded execution order under a different eviction policy.
+// completions of a simulation, mirrored from the inspector event stream by
+// RunReportCollector. Consumed by the Chrome-trace export, the reuse
+// statistics and the ablation benches that replay a recorded execution
+// order under a different eviction policy.
 #pragma once
 
 #include <cstdint>

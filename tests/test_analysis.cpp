@@ -4,7 +4,6 @@
 
 #include "analysis/bounds.hpp"
 #include "analysis/offline_model.hpp"
-#include "analysis/validate.hpp"
 #include "core/task_graph.hpp"
 #include "sim/trace.hpp"
 
@@ -14,150 +13,7 @@ namespace {
 using core::DataId;
 using core::TaskId;
 using sim::Trace;
-using sim::TraceEvent;
 using sim::TraceKind;
-
-/// d0, d1 of 10 bytes; t0{d0}, t1{d0,d1}.
-core::TaskGraph small_graph() {
-  core::TaskGraphBuilder builder;
-  const DataId d0 = builder.add_data(10);
-  const DataId d1 = builder.add_data(10);
-  builder.add_task(1.0, {d0});
-  builder.add_task(1.0, {d0, d1});
-  return builder.build();
-}
-
-core::Platform small_platform(std::uint64_t memory = 100) {
-  core::Platform platform;
-  platform.num_gpus = 1;
-  platform.gpu_memory_bytes = memory;
-  return platform;
-}
-
-Trace valid_trace() {
-  Trace trace;
-  trace.events = {
-      {1.0, TraceKind::kLoad, 0, 0},       // d0
-      {2.0, TraceKind::kTaskStart, 0, 0},  // t0
-      {3.0, TraceKind::kTaskEnd, 0, 0},
-      {4.0, TraceKind::kLoad, 0, 1},       // d1
-      {5.0, TraceKind::kTaskStart, 0, 1},  // t1
-      {6.0, TraceKind::kTaskEnd, 0, 1},
-  };
-  return trace;
-}
-
-TEST(Validator, AcceptsAValidTrace) {
-  const auto result =
-      validate_trace(small_graph(), small_platform(), valid_trace());
-  EXPECT_TRUE(result.ok) << result.error;
-}
-
-TEST(Validator, RejectsDoubleLoad) {
-  Trace trace = valid_trace();
-  trace.events.insert(trace.events.begin() + 1,
-                      TraceEvent{1.5, TraceKind::kLoad, 0, 0});
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("already-resident"), std::string::npos);
-}
-
-TEST(Validator, RejectsEvictionOfAbsentData) {
-  Trace trace = valid_trace();
-  trace.events.push_back({7.0, TraceKind::kEvict, 0, 1});
-  trace.events.push_back({8.0, TraceKind::kEvict, 0, 1});
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("non-resident"), std::string::npos);
-}
-
-TEST(Validator, RejectsStartWithMissingInput) {
-  Trace trace;
-  trace.events = {
-      {1.0, TraceKind::kLoad, 0, 0},
-      {2.0, TraceKind::kTaskStart, 0, 1},  // t1 needs d1 too
-  };
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("missing input"), std::string::npos);
-}
-
-TEST(Validator, RejectsOverlappingTasksOnOneGpu) {
-  Trace trace;
-  trace.events = {
-      {1.0, TraceKind::kLoad, 0, 0},
-      {2.0, TraceKind::kLoad, 0, 1},
-      {3.0, TraceKind::kTaskStart, 0, 0},
-      {4.0, TraceKind::kTaskStart, 0, 1},  // t0 still running
-  };
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("two tasks"), std::string::npos);
-}
-
-TEST(Validator, RejectsEndOfTaskNotRunning) {
-  Trace trace;
-  trace.events = {{1.0, TraceKind::kTaskEnd, 0, 0}};
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("was not running"), std::string::npos);
-}
-
-TEST(Validator, RejectsMemoryBoundViolation) {
-  Trace trace = valid_trace();  // holds both 10-byte data at once
-  const auto result =
-      validate_trace(small_graph(), small_platform(/*memory=*/15), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("memory bound"), std::string::npos);
-}
-
-TEST(Validator, RejectsMissingExecution) {
-  Trace trace = valid_trace();
-  trace.events.resize(3);  // only t0 ran
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("executed 0 times"), std::string::npos);
-}
-
-TEST(Validator, RejectsTimeGoingBackwards) {
-  Trace trace = valid_trace();
-  trace.events[1].time_us = 0.5;
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("backwards"), std::string::npos);
-}
-
-TEST(Validator, RejectsUnknownGpu) {
-  Trace trace;
-  trace.events = {{1.0, TraceKind::kLoad, 7, 0}};
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_FALSE(result.ok);
-  EXPECT_NE(result.error.find("unknown gpu"), std::string::npos);
-}
-
-TEST(Validator, PeerLoadAddsResidency) {
-  Trace trace = valid_trace();
-  trace.events[3].kind = TraceKind::kPeerLoad;  // d1 arrives via NVLink
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_TRUE(result.ok) << result.error;
-}
-
-TEST(Validator, WriteBackEventsAreNeutral) {
-  Trace trace = valid_trace();
-  trace.events.push_back({7.0, TraceKind::kWriteBack, 0, 1});
-  const auto result =
-      validate_trace(small_graph(), small_platform(), trace);
-  EXPECT_TRUE(result.ok) << result.error;
-}
 
 TEST(TraceHelpers, ExecutionOrderFiltersByGpu) {
   Trace trace;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "serve/serve_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/invariant_checker.hpp"
+#include "sim/run_report.hpp"
 #include "workloads/workloads.hpp"
 
 namespace mg::core {
@@ -436,11 +439,12 @@ Pin run_batch(const TaskGraph& graph, std::uint32_t gpus,
               std::uint64_t memory_mb, const DartsOptions& options,
               const sim::FaultPlan* plan = nullptr) {
   DartsScheduler darts(options);
-  sim::EngineConfig config;
-  config.record_trace = true;
-  config.seed = 7;
   sim::RuntimeEngine engine(graph, make_v100_platform(gpus, memory_mb * kMB),
-                            darts, config);
+                            darts, {.seed = 7});
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
   std::optional<sim::FaultInjector> injector;
   if (plan != nullptr) {
     injector.emplace(*plan);
@@ -450,7 +454,8 @@ Pin run_batch(const TaskGraph& graph, std::uint32_t gpus,
   if (plan != nullptr) {
     EXPECT_EQ(metrics.faults.gpu_losses, plan->gpu_losses.size());
   }
-  return pin_of(engine.trace(), metrics);
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  return pin_of(recorder.trace(), metrics);
 }
 
 Pin run_matmul2d_luf() {
@@ -509,14 +514,18 @@ Pin run_tiered_stream() {
   serve::ServeConfig config;
   config.arrival.mode = serve::ArrivalMode::kClosedLoop;
   config.arrival.concurrency = 4;
-  config.engine.record_trace = true;
   config.engine.seed = 7;
   DartsScheduler darts({.use_luf = true, .tier_boost = 2.0});
   serve::ServeEngine engine(templates, jobs, make_v100_platform(2, 100 * kMB),
                             darts, config);
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
   const serve::ServeResult result = engine.run();
   EXPECT_EQ(result.serving.jobs_completed, jobs.size());
-  return pin_of(engine.engine().trace(), result.metrics);
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  return pin_of(recorder.trace(), result.metrics);
 }
 
 struct PinCase {
@@ -547,6 +556,12 @@ const PinCase kPinCases[] = {
     {"TieredStream", run_tiered_stream,
      {0x99f63e8d2350119bULL, 414, 400, 397216.79544254154}},
 };
+
+// gtest prints the parameter into each test's listed name; print the case
+// name so that name does not carry the address of the name string.
+void PrintTo(const PinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
 
 class DartsDecisionPin : public testing::TestWithParam<PinCase> {};
 

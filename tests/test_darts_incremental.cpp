@@ -9,10 +9,10 @@
 #include <set>
 #include <vector>
 
-#include "analysis/validate.hpp"
 #include "core/darts.hpp"
 #include "core/task_graph.hpp"
 #include "sim/engine.hpp"
+#include "sim/invariant_checker.hpp"
 #include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -284,14 +284,11 @@ TEST_P(IncrementalEndToEnd, RunsCompleteAndStayClose) {
   auto run = [&](bool incremental) {
     DartsScheduler darts{
         DartsOptions{.use_luf = true, .incremental = incremental}};
-    sim::EngineConfig config;
-    config.record_trace = true;
-    config.seed = 11;
-    sim::RuntimeEngine engine(graph, platform, darts, config);
+    sim::RuntimeEngine engine(graph, platform, darts, {.seed = 11});
+    sim::InvariantChecker checker({.fail_fast = false});
+    engine.add_inspector(&checker);
     const RunMetrics metrics = engine.run();
-    const auto validation =
-        analysis::validate_trace(graph, platform, engine.trace());
-    EXPECT_TRUE(validation.ok) << validation.error;
+    EXPECT_TRUE(checker.ok()) << checker.report().error;
     std::uint64_t executed = 0;
     for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;
     EXPECT_EQ(executed, graph.num_tasks());

@@ -126,8 +126,8 @@ TEST(Differential, RandomGraphsAcrossSchedulersStayInvariantFree) {
       EXPECT_GT(checker.events_checked(), 0u);
 
       // Identical completion set: every task exactly once (the checker's
-      // finish() proves exactly-once; here we confirm the totals line up
-      // with the metrics the engine reports).
+      // end-of-run check proves exactly-once; here we confirm the totals
+      // line up with the metrics the engine reports).
       std::uint64_t executed = 0;
       std::uint64_t loads = 0;
       std::uint64_t evictions = 0;

@@ -4,10 +4,11 @@
 
 #include <vector>
 
-#include "analysis/validate.hpp"
 #include "core/task_graph.hpp"
 #include "sched/eager.hpp"
 #include "sched/fixed_order.hpp"
+#include "sim/invariant_checker.hpp"
+#include "sim/run_report.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg::sim {
@@ -109,19 +110,15 @@ TEST(Engine, EvictionHappensUnderMemoryPressure) {
   const core::TaskGraph graph = builder.build();
 
   sched::FixedOrderScheduler scheduler({{0, 1, 2}});
-  EngineConfig config;
-  config.record_trace = true;
-  const core::Platform platform = test_platform(1, 20);  // 2 data fit
-  RuntimeEngine engine(graph, platform, scheduler, config);
+  RuntimeEngine engine(graph, test_platform(1, 20), scheduler);  // 2 data fit
+  InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&checker);
   const core::RunMetrics metrics = engine.run();
 
   // a is always the most recently used; b, c are evicted in turn.
   EXPECT_EQ(metrics.total_loads(), 4u);
   EXPECT_EQ(metrics.total_evictions(), 2u);
-
-  const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
-  EXPECT_TRUE(validation.ok) << validation.error;
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
 }
 
 TEST(Engine, TraceRecordsExecutionOrder) {
@@ -133,12 +130,12 @@ TEST(Engine, TraceRecordsExecutionOrder) {
   const core::TaskGraph graph = builder.build();
 
   sched::FixedOrderScheduler scheduler({{2, 0, 1}});
-  EngineConfig config;
-  config.record_trace = true;
-  RuntimeEngine engine(graph, test_platform(1, 100), scheduler, config);
+  RuntimeEngine engine(graph, test_platform(1, 100), scheduler);
+  RunReportCollector collector;
+  engine.add_inspector(&collector);
   (void)engine.run();
 
-  EXPECT_EQ(engine.trace().execution_order(0),
+  EXPECT_EQ(collector.trace().execution_order(0),
             (std::vector<TaskId>{2, 0, 1}));
 }
 
@@ -293,8 +290,10 @@ TEST(Engine, EventBudgetExceededThrows) {
     (void)engine.run();
     FAIL() << "expected BudgetExceededError";
   } catch (const BudgetExceededError& error) {
-    EXPECT_NE(std::string(error.what()).find("budget exceeded"),
-              std::string::npos);
+    const std::string what = error.what();
+    EXPECT_NE(what.find("budget exceeded"), std::string::npos);
+    // The excerpt renders the watchdog's raw event ring.
+    EXPECT_NE(what.find("recent events:\n  t="), std::string::npos) << what;
   }
 }
 

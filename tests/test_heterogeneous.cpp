@@ -8,7 +8,6 @@
 #include <numeric>
 #include <vector>
 
-#include "analysis/validate.hpp"
 #include "core/darts.hpp"
 #include "core/task_graph.hpp"
 #include "sched/dmda.hpp"
@@ -17,6 +16,7 @@
 #include "sched/hfp.hpp"
 #include "sched/hmetis_r.hpp"
 #include "sim/engine.hpp"
+#include "sim/invariant_checker.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg {
@@ -144,9 +144,9 @@ TEST_P(HeteroEndToEnd, FasterGpuDoesMoreWork) {
     default: scheduler = std::make_unique<sched::HmetisScheduler>(); break;
   }
 
-  sim::EngineConfig config;
-  config.record_trace = true;
-  sim::RuntimeEngine engine(graph, platform, *scheduler, config);
+  sim::RuntimeEngine engine(graph, platform, *scheduler);
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&checker);
   const core::RunMetrics metrics = engine.run();
 
   EXPECT_EQ(metrics.per_gpu[0].tasks_executed +
@@ -156,9 +156,7 @@ TEST_P(HeteroEndToEnd, FasterGpuDoesMoreWork) {
   // — stealing, pull rate, or DMDA's model — should all get there).
   EXPECT_GT(metrics.per_gpu[0].tasks_executed,
             metrics.per_gpu[1].tasks_executed * 3 / 2);
-  const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
-  EXPECT_TRUE(validation.ok) << validation.error;
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, HeteroEndToEnd, testing::Range(0, 4));

@@ -98,13 +98,14 @@ std::vector<InspectorEvent> valid_stream() {
   };
 }
 
-InvariantChecker::Report run_stream(const std::vector<InspectorEvent>& events) {
+InvariantChecker::Report run_stream(const std::vector<InspectorEvent>& events,
+                                    std::uint64_t memory = 100) {
   const core::TaskGraph graph = small_graph();
-  const core::Platform platform = small_platform();
+  const core::Platform platform = small_platform(memory);
   InvariantChecker checker(recording_options());
   checker.on_run_begin(graph, platform, "test");
   for (const InspectorEvent& event : events) checker.on_event(event);
-  checker.finish();
+  checker.on_run_end(0.0);
   return checker.report();
 }
 
@@ -212,15 +213,22 @@ TEST(InvariantChecker, ExcerptHoldsTheEventsLeadingUpToTheViolation) {
   const core::Platform platform = small_platform();
   InvariantChecker checker(options);
   checker.on_run_begin(graph, platform, "test");
-  for (const InspectorEvent& event : valid_stream()) checker.on_event(event);
-  checker.on_event(make_event(7.0, InspectorEventKind::kEvict, 0, 1, 10));
-  checker.on_event(make_event(8.0, InspectorEventKind::kEvict, 0, 1, 10));
+  std::vector<InspectorEvent> events = valid_stream();
+  events.push_back(make_event(7.0, InspectorEventKind::kEvict, 0, 1, 10));
+  events.push_back(make_event(8.0, InspectorEventKind::kEvict, 0, 1, 10));
+  for (const InspectorEvent& event : events) checker.on_event(event);
   const auto& report = checker.report();
   EXPECT_FALSE(report.ok);
   // The window holds at most 4 lines and the last one is the bad evict.
   const auto lines = std::count(report.excerpt.begin(), report.excerpt.end(), '\n');
   EXPECT_LE(lines, 4);
   EXPECT_NE(report.excerpt.find("t=8.000us"), std::string::npos);
+  // The ring wrapped several times and still renders oldest first.
+  std::string expected;
+  for (std::size_t i = events.size() - 4; i < events.size(); ++i) {
+    expected += "  " + sim::format_inspector_event(events[i]) + "\n";
+  }
+  EXPECT_EQ(report.excerpt, expected);
 }
 
 TEST(InvariantChecker, FirstViolationWins) {
@@ -230,9 +238,123 @@ TEST(InvariantChecker, FirstViolationWins) {
   checker.on_run_begin(graph, platform, "test");
   checker.on_event(make_event(0.0, InspectorEventKind::kEvict, 0, 0, 10));
   checker.on_event(make_event(1.0, InspectorEventKind::kTaskStart, 0, 5));
-  checker.finish();
+  checker.on_run_end(1.0);
   EXPECT_NE(checker.report().error.find("non-resident"), std::string::npos);
 }
+
+// --- Validator: edited streams, one registered test per table row ---------
+
+using Stream = std::vector<InspectorEvent>;
+
+struct StreamCase {
+  const char* name;
+  void (*edit)(Stream& events);  ///< applied to valid_stream()
+  const char* expected;          ///< first violation's text; "" = valid
+  std::uint64_t memory = 100;    ///< GPU memory in bytes
+};
+
+const StreamCase kStreamCases[] = {
+    {"AcceptsAValidTrace", [](Stream&) {}, ""},
+    {"RejectsStartWithMissingInput",
+     [](Stream& events) {  // t1 needs d1 too
+       events = {
+           make_event(0.0, InspectorEventKind::kFetchStart, 0, 0, 10,
+                      sim::kNoChannel, 1),
+           make_event(1.0, InspectorEventKind::kLoadComplete, 0, 0, 10),
+           make_event(2.0, InspectorEventKind::kTaskStart, 0, 1),
+       };
+     },
+     "missing input"},
+    {"RejectsMemoryBoundViolation",
+     [](Stream&) {},  // holds both 10-byte data at once
+     "memory bound", 15},
+    {"RejectsDoubleLoad",
+     [](Stream& events) {  // d0 fetched again while resident
+       events.insert(events.begin() + 5,
+                     make_event(1.0, InspectorEventKind::kFetchStart, 0, 0, 10,
+                                sim::kNoChannel, 1));
+     },
+     "already-resident"},
+    {"RejectsEvictionOfAbsentData",
+     [](Stream& events) {
+       events.push_back(make_event(7.0, InspectorEventKind::kEvict, 0, 1, 10));
+       events.push_back(make_event(8.0, InspectorEventKind::kEvict, 0, 1, 10));
+     },
+     "non-resident"},
+    {"RejectsOverlappingTasksOnOneGpu",
+     [](Stream& events) {  // t1 starts while t0 still runs
+       events = {
+           make_event(0.0, InspectorEventKind::kFetchStart, 0, 0, 10,
+                      sim::kNoChannel, 1),
+           make_event(0.0, InspectorEventKind::kFetchStart, 0, 1, 10,
+                      sim::kNoChannel, 1),
+           make_event(1.0, InspectorEventKind::kLoadComplete, 0, 0, 10),
+           make_event(2.0, InspectorEventKind::kLoadComplete, 0, 1, 10),
+           make_event(3.0, InspectorEventKind::kTaskStart, 0, 0),
+           make_event(4.0, InspectorEventKind::kTaskStart, 0, 1),
+       };
+     },
+     "two tasks"},
+    {"RejectsEndOfTaskNotRunning",
+     [](Stream& events) {
+       events = {make_event(1.0, InspectorEventKind::kTaskEnd, 0, 0)};
+     },
+     "was not running"},
+    {"RejectsMissingExecution",
+     [](Stream& events) { events.resize(9); },  // only t0 ran
+     "executed 0 times"},
+    {"RejectsTimeGoingBackwards",
+     [](Stream& events) { events[5].time_us = 0.5; },
+     "backwards"},
+    {"RejectsUnknownGpu",
+     [](Stream& events) {
+       events = {make_event(0.0, InspectorEventKind::kFetchStart, 7, 0, 10,
+                            sim::kNoChannel, 1)};
+     },
+     "unknown gpu"},
+    {"PeerLoadAddsResidency",
+     [](Stream& events) { events[9].aux = 1; },  // d1 arrives via NVLink
+     ""},
+    {"WriteBackEventsAreNeutral",
+     [](Stream& events) {
+       events.push_back(
+           make_event(6.0, InspectorEventKind::kWriteBackStart, 0, 1, 10));
+       events.push_back(
+           make_event(7.0, InspectorEventKind::kWriteBackEnd, 0, 1, 10));
+     },
+     ""},
+};
+
+class StreamCaseTest : public testing::Test {
+ public:
+  explicit StreamCaseTest(const StreamCase& row) : row_(row) {}
+
+  void TestBody() override {
+    Stream events = valid_stream();
+    row_.edit(events);
+    const auto report = run_stream(events, row_.memory);
+    if (*row_.expected == '\0') {
+      EXPECT_TRUE(report.ok) << report.error;
+    } else {
+      EXPECT_FALSE(report.ok);
+      EXPECT_NE(report.error.find(row_.expected), std::string::npos)
+          << report.error;
+    }
+  }
+
+ private:
+  const StreamCase& row_;
+};
+
+[[maybe_unused]] const bool kStreamCasesRegistered = [] {
+  for (const StreamCase& row : kStreamCases) {
+    testing::RegisterTest("Validator", row.name, nullptr, nullptr, __FILE__,
+                          __LINE__, [&row]() -> testing::Test* {
+                            return new StreamCaseTest(row);
+                          });
+  }
+  return true;
+}();
 
 // --- Online checking against the real engine ------------------------------
 
@@ -422,7 +544,6 @@ TEST(RunReport, MirroredTraceExportsToChromeJson) {
   const auto graph = work::make_matmul_2d({.n = 6, .data_bytes = 14 * core::kMB});
   const core::Platform platform = core::make_v100_platform(2, 100 * core::kMB);
   sched::DmdaScheduler scheduler;
-  // record_trace stays OFF: the collector's mirror must be sufficient.
   sim::RuntimeEngine engine(graph, platform, scheduler);
   RunReportCollector collector;
   engine.add_inspector(&collector);

@@ -1,5 +1,6 @@
 // End-to-end runs: every scheduler on every workload through the simulator,
-// with trace validation and sanity bounds on the reported metrics.
+// checked online against the execution model, with sanity bounds on the
+// reported metrics.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,13 +8,13 @@
 #include <vector>
 
 #include "analysis/offline_model.hpp"
-#include "analysis/validate.hpp"
 #include "core/darts.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager.hpp"
 #include "sched/hfp.hpp"
 #include "sched/hmetis_r.hpp"
 #include "sim/engine.hpp"
+#include "sim/invariant_checker.hpp"
 #include "workloads/workloads.hpp"
 
 namespace mg {
@@ -87,10 +88,9 @@ TEST_P(IntegrationTest, RunsToCompletionAndRespectsModel) {
   auto scheduler = make_scheduler(param.scheduler);
   ASSERT_NE(scheduler, nullptr);
 
-  sim::EngineConfig config;
-  config.record_trace = true;
-  config.seed = 99;
-  sim::RuntimeEngine engine(graph, platform, *scheduler, config);
+  sim::RuntimeEngine engine(graph, platform, *scheduler, {.seed = 99});
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&checker);
   const core::RunMetrics metrics = engine.run();
 
   // All work done, split across GPUs.
@@ -98,11 +98,9 @@ TEST_P(IntegrationTest, RunsToCompletionAndRespectsModel) {
   for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;
   EXPECT_EQ(executed, graph.num_tasks());
 
-  // The trace respects the execution model (residency, memory bound,
+  // The run respects the execution model (residency, memory bound,
   // exactly-once).
-  const auto validation =
-      analysis::validate_trace(graph, platform, engine.trace());
-  EXPECT_TRUE(validation.ok) << validation.error;
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
 
   // Transferred volume can never beat the cold-start lower bound.
   EXPECT_GE(metrics.total_bytes_loaded(), analysis::bytes_lower_bound(graph));

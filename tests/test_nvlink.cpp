@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "analysis/offline_model.hpp"
-#include "analysis/validate.hpp"
 #include "core/darts.hpp"
 #include "core/task_graph.hpp"
 #include "sched/eager.hpp"
 #include "sched/fixed_order.hpp"
 #include "sim/engine.hpp"
+#include "sim/invariant_checker.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg::sim {
@@ -43,9 +43,9 @@ TEST(Nvlink, PeerCopyInsteadOfSecondHostLoad) {
   const core::TaskGraph graph = builder.build();
 
   sched::FixedOrderScheduler scheduler({{0}, {1}});
-  EngineConfig config;
-  config.record_trace = true;
-  RuntimeEngine engine(graph, nvlink_platform(2, 1000), scheduler, config);
+  RuntimeEngine engine(graph, nvlink_platform(2, 1000), scheduler);
+  InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&checker);
   const core::RunMetrics metrics = engine.run();
 
   EXPECT_EQ(metrics.total_loads(), 1u);            // one host load (gpu0)
@@ -57,9 +57,7 @@ TEST(Nvlink, PeerCopyInsteadOfSecondHostLoad) {
   // Timeline: host load [0,100] on gpu0; gpu1's request misses at t=0 (d is
   // absent everywhere) so it also goes over the host bus... unless it was
   // requested after gpu0's load landed. Either way the run must validate.
-  const auto validation = analysis::validate_trace(
-      graph, nvlink_platform(2, 1000), engine.trace());
-  EXPECT_TRUE(validation.ok) << validation.error;
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
 }
 
 TEST(Nvlink, PeerCopyIsFasterThanHostReload) {
@@ -108,7 +106,6 @@ TEST(Nvlink, SourceReplicaIsPinnedDuringCopy) {
   std::vector<std::vector<TaskId>> orders{{0, 2}, {1}};
   sched::FixedOrderScheduler scheduler(orders);
   EngineConfig config;
-  config.record_trace = true;
   config.pipeline_depth = 1;
   // gpu0 memory fits exactly one data item: d1 requires evicting d0 — but
   // the (slow) peer copy of d0 to gpu1 is still in flight when gpu0 wants
@@ -116,12 +113,12 @@ TEST(Nvlink, SourceReplicaIsPinnedDuringCopy) {
   core::Platform platform = nvlink_platform(2, 100);
   platform.nvlink_bandwidth_bytes_per_s = 1e6;  // copy takes 100us
   RuntimeEngine engine(graph, platform, scheduler, config);
+  InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&checker);
   const core::RunMetrics metrics = engine.run();
 
   EXPECT_EQ(metrics.per_gpu[1].peer_loads, 1u);
-  const auto validation = analysis::validate_trace(
-      graph, nvlink_platform(2, 100), engine.trace());
-  EXPECT_TRUE(validation.ok) << validation.error;
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
   // All three tasks ran.
   EXPECT_EQ(metrics.per_gpu[0].tasks_executed, 2u);
   EXPECT_EQ(metrics.per_gpu[1].tasks_executed, 1u);
@@ -168,16 +165,14 @@ TEST(Nvlink, AllSchedulersCompleteWithPeersEnabled) {
     } else {
       scheduler = std::make_unique<core::DartsScheduler>();
     }
-    EngineConfig config;
-    config.record_trace = true;
-    RuntimeEngine engine(graph, platform, *scheduler, config);
+    RuntimeEngine engine(graph, platform, *scheduler);
+    InvariantChecker checker({.fail_fast = false});
+    engine.add_inspector(&checker);
     const core::RunMetrics metrics = engine.run();
     std::uint64_t executed = 0;
     for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;
     EXPECT_EQ(executed, graph.num_tasks());
-    const auto validation =
-        analysis::validate_trace(graph, platform, engine.trace());
-    EXPECT_TRUE(validation.ok) << validation.error;
+    EXPECT_TRUE(checker.ok()) << checker.report().error;
   }
 }
 

@@ -5,12 +5,12 @@
 
 #include <vector>
 
-#include "analysis/validate.hpp"
 #include "core/darts.hpp"
 #include "core/task_graph.hpp"
 #include "sched/eager.hpp"
 #include "sched/fixed_order.hpp"
 #include "sim/engine.hpp"
+#include "sim/invariant_checker.hpp"
 #include "workloads/cholesky.hpp"
 #include "workloads/matmul2d.hpp"
 
@@ -65,9 +65,7 @@ TEST(Outputs, WriteBackOverlapsAndDoesNotDelayCompletion) {
 
   std::vector<std::vector<TaskId>> order{{0}};
   sched::FixedOrderScheduler scheduler(order);
-  EngineConfig config;
-  config.record_trace = true;
-  RuntimeEngine engine(graph, unit_platform(1, 100), scheduler, config);
+  RuntimeEngine engine(graph, unit_platform(1, 100), scheduler);
   const core::RunMetrics metrics = engine.run();
 
   EXPECT_DOUBLE_EQ(metrics.makespan_us, 30.0);
@@ -108,9 +106,7 @@ TEST(Outputs, ScratchBlocksStartUnderMemoryPressure) {
 
   std::vector<std::vector<TaskId>> order{{0, 1}};
   sched::FixedOrderScheduler scheduler(order);
-  EngineConfig config;
-  config.record_trace = true;
-  RuntimeEngine engine(graph, unit_platform(1, 100), scheduler, config);
+  RuntimeEngine engine(graph, unit_platform(1, 100), scheduler);
   const core::RunMetrics metrics = engine.run();
 
   // Realized timeline (a genuine prefetch/eviction conflict, the very
@@ -157,17 +153,15 @@ TEST(Outputs, EndToEndWithEvictionAndValidation) {
     } else {
       scheduler = std::make_unique<core::DartsScheduler>();
     }
-    EngineConfig config;
-    config.record_trace = true;
-    RuntimeEngine engine(graph, platform, *scheduler, config);
+    RuntimeEngine engine(graph, platform, *scheduler);
+    InvariantChecker checker({.fail_fast = false});
+    engine.add_inspector(&checker);
     const core::RunMetrics metrics = engine.run();
     std::uint64_t executed = 0;
     for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;
     EXPECT_EQ(executed, graph.num_tasks());
     EXPECT_GT(metrics.total_bytes_written_back(), 0u);
-    const auto validation =
-        analysis::validate_trace(graph, platform, engine.trace());
-    EXPECT_TRUE(validation.ok) << validation.error;
+    EXPECT_TRUE(checker.ok()) << checker.report().error;
   }
 }
 

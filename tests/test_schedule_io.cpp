@@ -9,6 +9,7 @@
 #include "core/darts.hpp"
 #include "sched/fixed_order.hpp"
 #include "sim/engine.hpp"
+#include "sim/run_report.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg::analysis {
@@ -68,14 +69,14 @@ TEST(ScheduleIo, ArchivedDartsScheduleReplaysIdentically) {
   const core::Platform platform = core::make_v100_platform(2, 120 * core::kMB);
 
   core::DartsScheduler darts;
-  sim::EngineConfig config;
-  config.record_trace = true;
-  sim::RuntimeEngine original(graph, platform, darts, config);
+  sim::RuntimeEngine original(graph, platform, darts);
+  sim::RunReportCollector recorder;
+  original.add_inspector(&recorder);
   const core::RunMetrics original_metrics = original.run();
 
   Schedule schedule;
   for (core::GpuId gpu = 0; gpu < platform.num_gpus; ++gpu) {
-    schedule.push_back(original.trace().execution_order(gpu));
+    schedule.push_back(recorder.trace().execution_order(gpu));
   }
   ASSERT_TRUE(schedule_matches_graph(schedule, graph));
 

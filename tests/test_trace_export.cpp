@@ -8,6 +8,7 @@
 
 #include "core/darts.hpp"
 #include "sim/engine.hpp"
+#include "sim/run_report.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/matmul2d.hpp"
 
@@ -29,11 +30,11 @@ RunResult run_small() {
   result.platform.bus_bandwidth_bytes_per_s = 1e6;
   result.platform.bus_latency_us = 0.0;
   core::DartsScheduler darts;
-  sim::EngineConfig config;
-  config.record_trace = true;
-  sim::RuntimeEngine engine(result.graph, result.platform, darts, config);
+  sim::RuntimeEngine engine(result.graph, result.platform, darts);
+  sim::RunReportCollector collector;
+  engine.add_inspector(&collector);
   (void)engine.run();
-  result.trace = engine.trace();
+  result.trace = collector.trace();
   return result;
 }
 
