@@ -3,6 +3,9 @@
 // observation of Section V-C depends on this scaling.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "hypergraph/hypergraph.hpp"
 #include "hypergraph/partitioner.hpp"
 #include "hypergraph/quality.hpp"
@@ -55,5 +58,30 @@ void BM_PartitionCholesky(benchmark::State& state) {
 }
 BENCHMARK(BM_PartitionCholesky)->Arg(12)->Arg(20)->Arg(28)
     ->Unit(benchmark::kMillisecond);
+
+// The three partitions of perfbench's matmul_hmetis workload: Fig. 8's
+// N=89, 103 and 117 on 4 GPUs at the figure harness's seed 42, without the
+// engine around them. The seed stays fixed because the partitioner's cost
+// varies with it by up to 3x per point.
+void BM_PartitionMatmulHmetisPoints(benchmark::State& state) {
+  std::vector<hyper::Hypergraph> hypergraphs;
+  std::uint64_t tasks = 0;
+  for (const std::uint32_t n : {89u, 103u, 117u}) {
+    const core::TaskGraph graph = work::make_matmul_2d({.n = n});
+    tasks += graph.num_tasks();
+    hypergraphs.push_back(hyper::hypergraph_from_task_graph(graph));
+  }
+  hyper::PartitionerConfig config;
+  config.num_parts = 4;
+  config.seed = 42;
+  for (auto _ : state) {
+    for (const hyper::Hypergraph& hypergraph : hypergraphs) {
+      const auto part = hyper::partition_hypergraph(hypergraph, config);
+      benchmark::DoNotOptimize(part.data());
+    }
+  }
+  state.counters["tasks"] = static_cast<double>(tasks);
+}
+BENCHMARK(BM_PartitionMatmulHmetisPoints)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -92,6 +92,35 @@ struct BalanceBounds {
 // the pass improved (cut or balance).
 // ---------------------------------------------------------------------------
 
+// Fiduccia–Mattheyses delta rules for moving v: before the move, a net's
+// other pins change gain only when its to-side count is 0 or 1 or its
+// from-side count is 1 or 2. v's own gain becomes its negation, so `gain`
+// stays exact for every vertex, locked ones included.
+void update_gains_for_move(const Hypergraph& hypergraph,
+                           const Bisection& bisection, VertexId v,
+                           std::vector<std::int64_t>& gain) {
+  const std::uint8_t from = bisection.side[v];
+  const std::uint8_t to = static_cast<std::uint8_t>(1 - from);
+  for (NetId e : hypergraph.nets_of(v)) {
+    const std::uint32_t from_count = bisection.pins_in[e][from];
+    const std::uint32_t to_count = bisection.pins_in[e][to];
+    const auto w = static_cast<std::int64_t>(hypergraph.net_weight(e));
+    // From-side pins: leaving no longer cuts a net the move cuts (to side
+    // empty), and the last pin left behind can uncut it (from side of 2).
+    // To-side pins: the one pin there no longer uncuts it by leaving (to
+    // side of 1), and leaving a net now wholly on the to side cuts it.
+    const std::int64_t from_delta =
+        (to_count == 0 ? w : 0) + (from_count == 2 ? w : 0);
+    const std::int64_t to_delta =
+        -((to_count == 1 ? w : 0) + (from_count == 1 ? w : 0));
+    if (from_delta == 0 && to_delta == 0) continue;
+    for (VertexId u : hypergraph.pins(e)) {
+      if (u != v) gain[u] += bisection.side[u] == from ? from_delta : to_delta;
+    }
+  }
+  gain[v] = -gain[v];
+}
+
 bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
              const BalanceBounds& bounds) {
   const std::uint32_t n = hypergraph.num_vertices();
@@ -106,11 +135,24 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
   };
   std::priority_queue<HeapEntry> heap;
   std::vector<std::uint8_t> locked(n, 0);
+  std::vector<std::int64_t> gain(n);
+
+  // queued[v] is the gain of v's latest heap entry while that entry is still
+  // queued. A push with the same key is skipped: the twin would pop right
+  // after its sibling and either find v locked or take the same branch.
+  constexpr std::int64_t kNotQueued = std::numeric_limits<std::int64_t>::min();
+  std::vector<std::int64_t> queued(n, kNotQueued);
+  auto push = [&](VertexId v) {
+    if (queued[v] == gain[v]) return;
+    queued[v] = gain[v];
+    heap.push({gain[v], v});
+  };
 
   // Seed the heap with boundary vertices (vertices on at least one cut net);
   // if the partition is unbalanced also seed everything on the heavy side.
   const bool fix_balance = bounds.overweight(bisection.weight) > 0;
   for (VertexId v = 0; v < n; ++v) {
+    gain[v] = bisection.gain(hypergraph, v);
     bool boundary = false;
     for (NetId e : hypergraph.nets_of(v)) {
       if (bisection.pins_in[e][0] > 0 && bisection.pins_in[e][1] > 0) {
@@ -122,9 +164,7 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
         fix_balance &&
         bisection.weight[bisection.side[v]] >
             bounds.max_weight[bisection.side[v]];
-    if (boundary || heavy_side) {
-      heap.push({bisection.gain(hypergraph, v), v});
-    }
+    if (boundary || heavy_side) push(v);
   }
 
   const std::uint64_t start_cut = bisection.cut;
@@ -145,10 +185,12 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
     const HeapEntry top = heap.top();
     heap.pop();
     const VertexId v = top.vertex;
+    if (queued[v] == top.gain) queued[v] = kNotQueued;
     if (locked[v]) continue;
-    const std::int64_t current_gain = bisection.gain(hypergraph, v);
+    MG_DCHECK(gain[v] == bisection.gain(hypergraph, v));
+    const std::int64_t current_gain = gain[v];
     if (current_gain != top.gain) {  // stale entry: reinsert with fresh gain
-      heap.push({current_gain, v});
+      push(v);
       continue;
     }
     // Balance feasibility of the move (allow when it reduces overweight).
@@ -162,6 +204,7 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
     const std::uint64_t over_after = bounds.overweight(weight_after);
     if (over_after > over_now) continue;  // would worsen balance: skip
 
+    update_gains_for_move(hypergraph, bisection, v, gain);
     bisection.move(hypergraph, v);
     locked[v] = 1;
     moves.push_back(v);
@@ -187,11 +230,17 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
       if (bisection.pins_in[e][0] != 0 && bisection.pins_in[e][1] != 0 &&
           bisection.pins_in[e][0] + bisection.pins_in[e][1] > 1) {
         for (VertexId u : hypergraph.pins(e)) {
-          if (!locked[u]) heap.push({bisection.gain(hypergraph, u), u});
+          if (!locked[u]) push(u);
         }
       }
     }
   }
+#ifndef NDEBUG
+  // Audited before the rollback, which does not maintain the cache.
+  for (VertexId v = 0; v < n; ++v) {
+    MG_DCHECK(gain[v] == bisection.gain(hypergraph, v));
+  }
+#endif
 
   // Roll back to the best prefix.
   while (moves.size() > best_prefix) {

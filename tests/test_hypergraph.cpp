@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <ostream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "hypergraph/hypergraph.hpp"
@@ -9,7 +12,11 @@
 #include "hypergraph/quality.hpp"
 #include "util/rng.hpp"
 #include "workloads/cholesky.hpp"
+#include "workloads/lu.hpp"
 #include "workloads/matmul2d.hpp"
+#include "workloads/matmul3d.hpp"
+#include "workloads/random_bipartite.hpp"
+#include "workloads/sparse_matmul.hpp"
 
 namespace mg::hyper {
 namespace {
@@ -240,6 +247,100 @@ TEST(Partitioner, HandlesNonPowerOfTwoParts) {
   EXPECT_LT(static_cast<double>(max_weight),
             1.35 * static_cast<double>(min_weight));
 }
+
+// ---------------------------------------------------------------------------
+// Partition pins: every refinement change must reproduce these assignments
+// exactly (the schedulers' queues, and so every hMETIS+R run, follow them).
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a over the part of every vertex, 4 little-endian bytes each.
+std::uint64_t partition_fingerprint(const std::vector<std::uint32_t>& part) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint32_t p : part) {
+    for (int i = 0; i < 4; ++i) {
+      hash ^= (p >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
+}
+
+struct PartitionPinCase {
+  const char* name;
+  core::TaskGraph (*graph)();
+  std::uint32_t num_parts;
+  std::uint64_t seed;
+  std::vector<double> target_share;
+  std::uint64_t expected;
+};
+
+// gtest prints the parameter into each test's listed name; print the case
+// name so that name does not carry the address of the name string.
+void PrintTo(const PartitionPinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
+
+const PartitionPinCase kPartitionPinCases[] = {
+    {"Matmul2dK2", [] { return work::make_matmul_2d({.n = 24}); }, 2, 1, {},
+     0x28a16f73f6c8c415ULL},
+    {"Matmul2dShuffledK4",
+     [] {
+       return work::make_matmul_2d(
+           {.n = 40, .randomize_order = true, .seed = 3});
+     },
+     4, 7, {}, 0xf12cec5cbf586bb5ULL},
+    {"Matmul2dK3", [] { return work::make_matmul_2d({.n = 30}); }, 3, 42, {},
+     0x77135c36d8479564ULL},
+    {"Matmul3dK8", [] { return work::make_matmul_3d({.n = 8}); }, 8, 1234, {},
+     0x88a608f6c33e6f25ULL},
+    {"CholeskyFlopsK4", [] { return work::make_cholesky_tasks({.n = 16}); }, 4,
+     7, {}, 0x5fc204578746d226ULL},
+    {"LuK2", [] { return work::make_lu_tasks({.n = 12}); }, 2, 1, {},
+     0xba26372dffcce705ULL},
+    {"RandomBipartite1to4K4",
+     [] {
+       return work::make_random_bipartite({.num_tasks = 1000,
+                                           .num_data = 250,
+                                           .min_inputs = 1,
+                                           .max_inputs = 4,
+                                           .seed = 11});
+     },
+     4, 42, {}, 0x33585db6f1712a44ULL},
+    {"SparseMatmulK3",
+     [] {
+       return work::make_sparse_matmul(
+           {.n = 120, .keep_fraction = 0.05, .seed = 5});
+     },
+     3, 7, {}, 0x89dbbaf57b5f9fd6ULL},
+    {"HeterogeneousSharesK3", [] { return work::make_matmul_2d({.n = 32}); },
+     3, 1234, {1.0, 2.0, 3.0}, 0xa1694c98e79b6147ULL},
+    // matmul_hmetis's first point: Fig. 8's N=89 on 4 GPUs at the figure
+    // harness's partitioner seed.
+    {"MatmulHmetisN89", [] { return work::make_matmul_2d({.n = 89}); }, 4, 42,
+     {}, 0xf4be212a2c4f84c4ULL},
+};
+
+class PartitionPin : public testing::TestWithParam<PartitionPinCase> {};
+
+TEST_P(PartitionPin, RepeatsExactly) {
+  const PartitionPinCase& pin_case = GetParam();
+  const Hypergraph hypergraph = hypergraph_from_task_graph(pin_case.graph());
+  PartitionerConfig config;
+  config.num_parts = pin_case.num_parts;
+  config.seed = pin_case.seed;
+  config.target_share = pin_case.target_share;
+  const auto part = partition_hypergraph(hypergraph, config);
+  ASSERT_EQ(part.size(), hypergraph.num_vertices());
+  const std::uint64_t actual = partition_fingerprint(part);
+  EXPECT_EQ(actual, pin_case.expected)
+      << "actual 0x" << std::hex << actual;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, PartitionPin, testing::ValuesIn(kPartitionPinCases),
+    [](const testing::TestParamInfo<PartitionPinCase>& case_info) {
+      return std::string(case_info.param.name);
+    });
 
 }  // namespace
 }  // namespace mg::hyper
