@@ -45,6 +45,13 @@ class LocalityScheduler final : public core::Scheduler {
   [[nodiscard]] core::TaskId pop_task(core::GpuId gpu,
                                       const core::MemoryView& memory) override;
 
+  /// A non-empty pool always yields a task, and an empty one yields nothing
+  /// without touching any state.
+  [[nodiscard]] bool may_pop(core::GpuId gpu) const override {
+    (void)gpu;
+    return !pool_.empty();
+  }
+
   [[nodiscard]] bool begin_streaming() override {
     streaming_ = true;
     return true;

@@ -8,7 +8,8 @@
 //   2. pop_task(gpu, memory)            — called whenever a GPU worker has
 //      room in its task pipeline. Returning kInvalidTask means "nothing for
 //      this GPU right now"; the engine will ask again when global state
-//      changes (a task completes or a data lands somewhere).
+//      changes (a task completes or a data lands somewhere), unless
+//      may_pop(gpu) says that asking cannot succeed yet.
 //   3. notify_* hooks                   — runtime feedback used by dynamic
 //      policies (DARTS's dataNotInMem bookkeeping, Ready's residency view).
 //
@@ -43,6 +44,19 @@ class Scheduler {
   /// Next task for `gpu`, or kInvalidTask if none available for it now.
   /// Each task must be returned exactly once across all GPUs.
   [[nodiscard]] virtual TaskId pop_task(GpuId gpu, const MemoryView& memory) = 0;
+
+  /// O(1) pre-check of a pull: false promises that pop_task(gpu, ·) would
+  /// return kInvalidTask for every memory view *and* change no scheduler
+  /// state (no random draw, no steal, no bookkeeping), so the engine may
+  /// skip the call. A starved GPU is polled after every task end and every
+  /// data load; this lets it skip the polls that cannot succeed. Skipped
+  /// polls are neither timed nor charged as scheduling cost. A Debug build
+  /// makes the call anyway and checks that it returned nothing. Default:
+  /// always poll.
+  [[nodiscard]] virtual bool may_pop(GpuId gpu) const {
+    (void)gpu;
+    return true;
+  }
 
   // ---- Streaming (serve mode) lifecycle ------------------------------------
   //

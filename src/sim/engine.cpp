@@ -875,6 +875,16 @@ void RuntimeEngine::fill_buffer(GpuId gpu) {
         continue;
       }
     } else {
+      if (!scheduler_.may_pop(gpu)) {
+#ifndef NDEBUG
+        // Audit the skip: the contract makes this pull side-effect free, so
+        // making it (untimed) keeps Debug on Release's decisions.
+        MG_CHECK_MSG(scheduler_.pop_task(gpu, *state.memory) == kInvalidTask,
+                     "scheduler popped a task after may_pop returned false");
+#endif
+        state.starved = true;
+        return;
+      }
       util::Stopwatch pop_watch;
       task = scheduler_.pop_task(gpu, *state.memory);
       const double pop_us = pop_watch.elapsed_us();

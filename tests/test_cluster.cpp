@@ -1,11 +1,14 @@
 // Cluster subsystem tests: hierarchical scheduling (inter-node partition,
 // id translation, cross-node stealing, single-node identity), the
-// locality-aware dynamic policy's node-distance cost model, the engine's
-// remote-fetch / host-cache machinery (network byte accounting, bounded
-// cache eviction), and the schema-5 run report's bit-identical guarantee
-// when num_nodes == 1.
+// locality-aware dynamic policy's node-distance cost model and its
+// may_pop answer, the engine's remote-fetch / host-cache machinery
+// (network byte accounting, bounded cache eviction), the schema-5 run
+// report's bit-identical guarantee when num_nodes == 1, and whole-run
+// decision pins of the locality policy.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,10 +16,14 @@
 #include "cluster/hierarchical.hpp"
 #include "cluster/locality.hpp"
 #include "core/task_graph.hpp"
+#include "decision_pin.hpp"
 #include "sched/eager.hpp"
+#include "serve/serve_engine.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "workloads/cholesky.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace mg {
@@ -247,6 +254,74 @@ TEST(Locality, LearnsNodeLocalityFromObservedLoads) {
   EXPECT_EQ(scheduler.pop_task(0, memory), local_task);
 }
 
+/// Checks that every GPU gets the same `may_pop` answer, and that a false
+/// answer holds: the pull returns nothing.
+void expect_may_pop(cluster::LocalityScheduler& scheduler, bool expected,
+                    const core::MemoryView& memory) {
+  for (core::GpuId gpu = 0; gpu < 2; ++gpu) {
+    EXPECT_EQ(scheduler.may_pop(gpu), expected) << "gpu" << gpu;
+  }
+  if (!expected) {
+    EXPECT_EQ(scheduler.pop_task(0, memory), core::kInvalidTask);
+  }
+}
+
+TEST(Locality, MayPopIsFalseExactlyWhenThePoolIsEmpty) {
+  core::TaskGraphBuilder builder;
+  const DataId d0 = builder.add_data(10);
+  const DataId d1 = builder.add_data(10);
+  builder.add_task(1.0, {d0});
+  builder.add_task(1.0, {d1});
+  const core::TaskGraph graph = builder.build();
+  StubMemory memory;
+
+  // Streamed: the pool starts empty and fills per arrival.
+  cluster::LocalityScheduler streamed;
+  ASSERT_TRUE(streamed.begin_streaming());
+  streamed.prepare(graph, cluster_platform(2, 2), 0);
+  expect_may_pop(streamed, false, memory);
+  const std::vector<TaskId> arrived = {0, 1};
+  streamed.notify_job_arrived(0, arrived);
+  expect_may_pop(streamed, true, memory);
+  EXPECT_NE(streamed.pop_task(0, memory), core::kInvalidTask);
+  expect_may_pop(streamed, true, memory);
+  EXPECT_NE(streamed.pop_task(1, memory), core::kInvalidTask);
+  expect_may_pop(streamed, false, memory);
+
+  // Dependency-gated: t0 enables t1 and t2; then a lost node's orphan is
+  // adopted back into the drained pool.
+  core::TaskGraphBuilder dag_builder;
+  const DataId a = dag_builder.add_data(10);
+  const DataId b = dag_builder.add_data(10);
+  const TaskId t0 = dag_builder.add_task(1.0, {a});
+  const TaskId t1 = dag_builder.add_task(1.0, {a, b});
+  const TaskId t2 = dag_builder.add_task(1.0, {b});
+  dag_builder.add_dependency(t0, t1);
+  dag_builder.add_dependency(t0, t2);
+  const core::TaskGraph dag = dag_builder.build();
+
+  cluster::LocalityScheduler gated;
+  ASSERT_TRUE(gated.begin_dependencies());
+  gated.prepare(dag, cluster_platform(2, 2), 0);
+  expect_may_pop(gated, true, memory);
+  EXPECT_EQ(gated.pop_task(0, memory), t0);
+  expect_may_pop(gated, false, memory);
+  const std::vector<TaskId> enabled = {t1, t2};
+  gated.notify_task_retired(t0, enabled);
+  expect_may_pop(gated, true, memory);
+  const TaskId first = gated.pop_task(1, memory);
+  EXPECT_NE(first, core::kInvalidTask);
+  EXPECT_NE(gated.pop_task(1, memory), core::kInvalidTask);
+  expect_may_pop(gated, false, memory);
+
+  const std::vector<core::GpuId> lost_gpus = {1};
+  const std::vector<TaskId> orphans = {first};
+  EXPECT_TRUE(gated.notify_node_lost(1, lost_gpus, orphans));
+  EXPECT_TRUE(gated.may_pop(0));
+  EXPECT_EQ(gated.pop_task(0, memory), first);
+  EXPECT_FALSE(gated.may_pop(0));
+}
+
 TEST(Engine, RemoteFetchPaysTheNetworkOnceAndFillsTheHostCache) {
   // Six tasks all read d1 (10 bytes, homed on node 1). Node 0's GPU runs
   // some of them, so node 0 fetches d1 over the network exactly once
@@ -351,6 +426,221 @@ TEST(RunReport, ClusterSectionSerializesPerNodeCounters) {
   EXPECT_NE(json.find("\"remote_fetches\":"), std::string::npos);
   EXPECT_NE(json.find("\"steals\":"), std::string::npos);
 }
+
+// ---- Decision pins ---------------------------------------------------------
+//
+// Whole locality runs pinned to their trace fingerprint, load and eviction
+// counts and makespan (tests/decision_pin.hpp). Which GPU pulls when, and
+// what a pull that finds the pool empty costs, are the engine's business:
+// any change there must keep every pin. Each run also checks that it
+// exercised the path it is named after.
+
+using test::Pin;
+using test::pin_of;
+
+core::Platform v100_nodes(std::uint32_t gpus, std::uint32_t nodes,
+                          std::uint64_t memory_mb) {
+  core::Platform platform =
+      core::make_v100_platform(gpus, memory_mb * core::kMB);
+  platform.num_nodes = nodes;
+  return platform;
+}
+
+/// A batch run of `graph` under locality, checker attached.
+struct BatchRun {
+  Pin pin;
+  core::RunMetrics metrics;
+  sim::RunReport report;
+};
+
+BatchRun run_batch(const core::TaskGraph& graph,
+                   const core::Platform& platform,
+                   const sim::FaultPlan* plan = nullptr) {
+  cluster::LocalityScheduler locality;
+  sim::RuntimeEngine engine(graph, platform, locality, {.seed = 7});
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
+  std::optional<sim::FaultInjector> injector;
+  if (plan != nullptr) {
+    injector.emplace(*plan);
+    engine.set_fault_injector(&*injector);
+  }
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  std::uint64_t executed = 0;
+  for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;
+  EXPECT_EQ(executed, graph.num_tasks());
+  return {pin_of(recorder.trace(), metrics), metrics, recorder.report()};
+}
+
+Pin run_single_node_matmul() {
+  const BatchRun run =
+      run_batch(work::make_matmul_2d({.n = 30}), v100_nodes(2, 1, 100));
+  EXPECT_GT(run.metrics.total_evictions(), 0u);
+  return run.pin;
+}
+
+Pin run_two_node_matmul() {
+  const BatchRun run =
+      run_batch(work::make_matmul_2d({.n = 30}), v100_nodes(4, 2, 100));
+  EXPECT_GT(run.report.cluster.network_transfers, 0u);
+  return run.pin;
+}
+
+Pin run_two_node_cholesky_dag() {
+  const BatchRun run = run_batch(
+      work::make_cholesky_tasks({.n = 12, .with_dependencies = true}),
+      v100_nodes(4, 2, 100));
+  EXPECT_GT(run.report.cluster.network_transfers, 0u);
+  return run.pin;
+}
+
+Pin run_gpu_loss() {
+  // Locality declines notify_gpu_lost: the orphans reach the survivors
+  // through the engine's own reclaim queue.
+  sim::FaultPlan plan;
+  plan.gpu_losses.push_back({40'000.0, 1});
+  const BatchRun run =
+      run_batch(work::make_matmul_2d({.n = 30}), v100_nodes(4, 2, 100), &plan);
+  EXPECT_EQ(run.metrics.faults.gpu_losses, 1u);
+  EXPECT_GT(run.metrics.faults.tasks_reclaimed, 0u);
+  return run.pin;
+}
+
+Pin run_gpu_loss_after_drain() {
+  // The same loss once the pool has drained: the survivors' pulls find
+  // nothing, and only the reclaim queue holds the orphans.
+  sim::FaultPlan plan;
+  plan.gpu_losses.push_back({330'000.0, 1});
+  const BatchRun run =
+      run_batch(work::make_matmul_2d({.n = 30}), v100_nodes(4, 2, 100), &plan);
+  EXPECT_EQ(run.metrics.faults.gpu_losses, 1u);
+  EXPECT_GT(run.metrics.faults.tasks_reclaimed, 0u);
+  return run.pin;
+}
+
+Pin run_node_loss() {
+  // Locality adopts the lost node's orphans through notify_node_lost.
+  sim::FaultPlan plan;
+  plan.node_losses.push_back({40'000.0, 1});
+  const BatchRun run =
+      run_batch(work::make_matmul_2d({.n = 30}), v100_nodes(4, 2, 100), &plan);
+  EXPECT_EQ(run.metrics.faults.gpu_losses, 2u);
+  EXPECT_GT(run.metrics.faults.tasks_reclaimed, 0u);
+  return run.pin;
+}
+
+Pin run_tiered_stream() {
+  // serve_cluster in miniature: Poisson arrivals in two tiers, high-tier
+  // inputs protected from eviction, bursts fused into batches, and a
+  // partition between two of three nodes that heals while remote fetches
+  // run on deadlines and hedge to the third. The high tier uses the N=5
+  // template (10 x 14 MB of inputs) and the low tier the N=6 one, so GPUs
+  // evict around the protected set; as in serve_cluster the protected
+  // inputs leave room for a task, below which the veto deadlocks (ROADMAP
+  // open item 1).
+  const std::vector<core::TaskGraph> templates = {
+      work::make_matmul_2d({.n = 5}), work::make_matmul_2d({.n = 6})};
+  std::vector<serve::JobSpec> jobs(60);
+  for (std::uint32_t job = 0; job < jobs.size(); ++job) {
+    jobs[job].graph = job % 2;
+    jobs[job].priority = 1 - job % 2;
+  }
+  serve::ServeConfig config;
+  config.arrival.mode = serve::ArrivalMode::kPoisson;
+  config.arrival.rate_jobs_per_s = 900.0;
+  config.arrival.seed = 7;
+  config.admission.max_jobs_in_flight = 4;
+  config.engine.seed = 7;
+  config.engine.fetch_timeout_factor = 6.0;
+  config.engine.max_fetch_hedges = 2;
+  config.slo.enabled = true;
+  config.slo.tiers = slo::TierPolicy{
+      {{.min_priority = 0, .deadline_us = 0.0, .admission_weight = 0},
+       {.min_priority = 1, .deadline_us = 12e3, .admission_weight = 4}}};
+  config.slo.protect_min_priority = 1;
+  config.slo.batching = true;
+  config.slo.max_batch = 4;
+  config.slo.marginal_compute = 0.4;
+
+  sim::FaultPlan plan;
+  sim::FaultPlan::LinkFault partition;
+  partition.src = 0;
+  partition.dst = 1;
+  partition.start_us = 1'000.0;
+  partition.end_us = 21'000.0;
+  partition.partition = true;
+  plan.link_faults.push_back(partition);
+
+  cluster::LocalityScheduler locality;
+  serve::ServeEngine engine(templates, jobs, v100_nodes(6, 3, 200), locality,
+                            config);
+  sim::FaultInjector injector(plan);
+  engine.set_fault_injector(&injector);
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
+  const serve::ServeResult result = engine.run();
+  EXPECT_EQ(result.serving.jobs_completed, jobs.size());
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  const sim::RunReport report = recorder.report();
+  EXPECT_GT(report.slo.jobs_fused, 0u);
+  EXPECT_GT(report.network_faults.fetch_timeouts, 0u);
+  EXPECT_GT(report.network_faults.hedged_fetches, 0u);
+  EXPECT_GT(report.slo.evictions_vetoed, 0u);
+  return pin_of(recorder.trace(), result.metrics);
+}
+
+struct PinCase {
+  const char* name;
+  Pin (*run)();
+  Pin expected;
+};
+
+// Reference values: the engine polling every starved GPU after each task
+// end and each data load gives these runs.
+const PinCase kPinCases[] = {
+    {"SingleNodeMatmul", run_single_node_matmul,
+     {0x8df4eb61396faba8ULL, 844, 830, 751667.0550064136}},
+    {"TwoNodeMatmul", run_two_node_matmul,
+     {0xea0a62891303b717ULL, 704, 676, 336734.80532709585}},
+    {"TwoNodeCholeskyDag", run_two_node_cholesky_dag,
+     {0x189d783fb563452aULL, 338, 230, 53991.394864257294}},
+    {"TieredStream", run_tiered_stream,
+     {0x678db8274a3d5302ULL, 89, 6, 120931.4787123299}},
+    {"GpuLoss", run_gpu_loss,
+     {0x187741d0fb1b8b9cULL, 771, 746, 373278.49505772273}},
+    {"GpuLossAfterDrain", run_gpu_loss_after_drain,
+     {0xdbb57ccc889ec48cULL, 708, 682, 340680.69531426852}},
+    {"NodeLoss", run_node_loss,
+     {0xe883e87bc937a48cULL, 789, 765, 667528.5754168866}},
+};
+
+// gtest prints the parameter into each test's listed name; print the case
+// name so that name does not carry the address of the name string.
+void PrintTo(const PinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
+
+class LocalityDecisionPin : public testing::TestWithParam<PinCase> {};
+
+TEST_P(LocalityDecisionPin, RunRepeatsExactly) {
+  const PinCase& pin_case = GetParam();
+  const Pin actual = pin_case.run();
+  EXPECT_EQ(actual.trace_hash, pin_case.expected.trace_hash);
+  EXPECT_EQ(actual.loads, pin_case.expected.loads);
+  EXPECT_EQ(actual.evictions, pin_case.expected.evictions);
+  EXPECT_DOUBLE_EQ(actual.makespan_us, pin_case.expected.makespan_us);
+}
+
+INSTANTIATE_TEST_SUITE_P(Runs, LocalityDecisionPin,
+                         testing::ValuesIn(kPinCases),
+                         [](const testing::TestParamInfo<PinCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace mg

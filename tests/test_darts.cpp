@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/task_graph.hpp"
+#include "decision_pin.hpp"
 #include "serve/serve_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
@@ -405,35 +406,8 @@ TEST(DartsLuf, EvictionPolicyOnlyWiredWhenEnabled) {
 // moves at least one of them. Rewrites of the free-task counting must keep
 // every pin.
 
-/// Outcome of one pinned run.
-struct Pin {
-  std::uint64_t trace_hash = 0;
-  std::uint64_t loads = 0;
-  std::uint64_t evictions = 0;
-  double makespan_us = 0.0;
-};
-
-/// 64-bit FNV-1a over the (kind, gpu, id) sequence of a recorded trace.
-std::uint64_t trace_fingerprint(const sim::Trace& trace) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](std::uint32_t value, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  };
-  for (const sim::TraceEvent& event : trace.events) {
-    mix(static_cast<std::uint32_t>(event.kind), 1);
-    mix(event.gpu, 4);
-    mix(event.id, 4);
-  }
-  return hash;
-}
-
-Pin pin_of(const sim::Trace& trace, const RunMetrics& metrics) {
-  return {trace_fingerprint(trace), metrics.total_loads(),
-          metrics.total_evictions(), metrics.makespan_us};
-}
+using test::Pin;
+using test::pin_of;
 
 Pin run_batch(const TaskGraph& graph, std::uint32_t gpus,
               std::uint64_t memory_mb, const DartsOptions& options,

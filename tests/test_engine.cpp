@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "core/task_graph.hpp"
+#include "decision_pin.hpp"
 #include "sched/eager.hpp"
 #include "sched/fixed_order.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
 #include "workloads/matmul2d.hpp"
@@ -275,6 +277,110 @@ TEST(Engine, DetectsSchedulerDeadlock) {
     EXPECT_NE(std::string(error.what()).find("deadlock"), std::string::npos);
     EXPECT_NE(std::string(error.what()).find("gpu0"), std::string::npos);
   }
+}
+
+/// FIFO over the whole graph that counts the pulls reaching it. With
+/// `answer_may_pop` it tells the engine when its queue is empty, and counts
+/// those answers; without, it keeps the always-poll default.
+class CountingFifo final : public core::Scheduler {
+ public:
+  explicit CountingFifo(bool answer_may_pop)
+      : answer_may_pop_(answer_may_pop) {}
+  [[nodiscard]] std::string_view name() const override { return "fifo"; }
+  void prepare(const core::TaskGraph& graph, const core::Platform&,
+               std::uint64_t) override {
+    num_tasks_ = graph.num_tasks();
+  }
+  [[nodiscard]] core::TaskId pop_task(core::GpuId,
+                                      const core::MemoryView&) override {
+    ++pops;
+    if (next_ == num_tasks_) {
+      ++empty_pops;
+      return core::kInvalidTask;
+    }
+    return next_++;
+  }
+  [[nodiscard]] bool may_pop(core::GpuId) const override {
+    if (!answer_may_pop_ || next_ < num_tasks_) return true;
+    ++declined;
+    return false;
+  }
+
+  std::uint64_t pops = 0;
+  std::uint64_t empty_pops = 0;  ///< pulls that found the queue empty
+  mutable std::uint64_t declined = 0;
+
+ private:
+  bool answer_may_pop_;
+  TaskId num_tasks_ = 0;
+  TaskId next_ = 0;
+};
+
+TEST(Engine, MayPopFalseSkipsThePullWithoutChangingDecisions) {
+  // 16 single-input tasks on 3 GPUs: once the queue drains, every task end
+  // and every load re-polls the starved GPUs.
+  core::TaskGraphBuilder builder;
+  for (int i = 0; i < 16; ++i) {
+    builder.add_task(100.0 + 10.0 * i, {builder.add_data(10)});
+  }
+  const core::TaskGraph graph = builder.build();
+  auto run = [&graph](CountingFifo& scheduler) {
+    RuntimeEngine engine(graph, test_platform(3, 40), scheduler);
+    RunReportCollector collector;
+    InvariantChecker checker({.fail_fast = false});
+    engine.add_inspector(&collector);
+    engine.add_inspector(&checker);
+    const core::RunMetrics metrics = engine.run();
+    EXPECT_TRUE(checker.ok()) << checker.report().error;
+    return test::pin_of(collector.trace(), metrics);
+  };
+
+  CountingFifo polled(/*answer_may_pop=*/false);
+  const test::Pin baseline = run(polled);
+  ASSERT_GT(polled.empty_pops, 0u) << "the run never re-polled a starved GPU";
+
+  CountingFifo skipping(/*answer_may_pop=*/true);
+  const test::Pin skipped = run(skipping);
+  EXPECT_EQ(skipped.trace_hash, baseline.trace_hash);
+  EXPECT_EQ(skipped.loads, baseline.loads);
+  EXPECT_DOUBLE_EQ(skipped.makespan_us, baseline.makespan_us);
+  // Every pull the polled run wasted is one the query declined.
+  EXPECT_EQ(skipping.declined, polled.empty_pops);
+#ifdef NDEBUG
+  EXPECT_EQ(skipping.empty_pops, 0u);
+  EXPECT_EQ(skipping.pops, graph.num_tasks());
+#else
+  // Debug audits every declined pull by making it.
+  EXPECT_EQ(skipping.empty_pops, skipping.declined);
+#endif
+}
+
+TEST(Engine, ReclaimedOrphansAreServedWhileTheSchedulerHasNothing) {
+  // 8 tasks on 2 GPUs with 4-deep pipelines: both buffers fill at t=0 and
+  // drain the scheduler. gpu1 dies mid-run; the scheduler declines its
+  // orphans, so only the engine's reclaim queue holds them while gpu0's
+  // query keeps answering false.
+  core::TaskGraphBuilder builder;
+  for (int i = 0; i < 8; ++i) builder.add_task(100.0, {builder.add_data(10)});
+  const core::TaskGraph graph = builder.build();
+  FaultPlan plan;
+  plan.gpu_losses.push_back({150.0, 1});
+
+  CountingFifo scheduler(/*answer_may_pop=*/true);
+  RuntimeEngine engine(graph, test_platform(2, 100), scheduler);
+  FaultInjector injector(plan);
+  engine.set_fault_injector(&injector);
+  InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&checker);
+  const core::RunMetrics metrics = engine.run();
+  ASSERT_TRUE(checker.ok()) << checker.report().error;
+
+  EXPECT_EQ(metrics.faults.gpu_losses, 1u);
+  EXPECT_GT(metrics.faults.tasks_reclaimed, 0u);
+  EXPECT_GT(scheduler.declined, 0u);
+  std::uint64_t executed = 0;
+  for (const auto& gpu : metrics.per_gpu) executed += gpu.tasks_executed;
+  EXPECT_EQ(executed, graph.num_tasks());
 }
 
 TEST(Engine, EventBudgetExceededThrows) {
