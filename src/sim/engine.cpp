@@ -228,9 +228,9 @@ void RuntimeEngine::ensure_slo_state() {
   fused_scale_.assign(graph_.num_tasks(), 0.0);
   veto_count_.assign(graph_.num_data(), 0);
   veto_reported_.assign(graph_.num_data(), 0);
+  // Sized once here and never reallocated: the managers read it in place.
   for (GpuId gpu = 0; gpu < platform_.num_gpus; ++gpu) {
-    gpus_[gpu].memory->set_eviction_veto(
-        [this](DataId data) { return veto_count_[data] != 0; });
+    gpus_[gpu].memory->set_eviction_veto(veto_count_);
   }
 }
 

@@ -28,7 +28,7 @@ void MemoryManager::fetch(DataId data, bool demand) {
   if (!active_) return;
   // A fetch means the scheduler wants the data here anyway: a proactive
   // replica of it is promoted to regular residency (no longer shed-first).
-  replica_[data] = 0;
+  clear_replica(data);
   if (residency_[data] != Residency::kAbsent) {
     // A hint transfer may still be sitting in the low-priority queue; a
     // demand for the same data makes it urgent.
@@ -59,7 +59,7 @@ void MemoryManager::fetch(DataId data, bool demand) {
 bool MemoryManager::fetch_hint(DataId data, bool may_evict) {
   MG_DCHECK(policy_ != nullptr && observer_ != nullptr);
   if (!active_) return true;
-  replica_[data] = 0;
+  clear_replica(data);
   if (residency_[data] != Residency::kAbsent) return true;
   const std::uint64_t size = graph_.data_size(data);
   // Written overflow-safe: a capacity shock can leave committed_ above
@@ -78,7 +78,9 @@ bool MemoryManager::fetch_replica(DataId data) {
   if (residency_[data] != Residency::kAbsent) return true;
   const std::uint64_t size = graph_.data_size(data);
   if (committed_ + size > capacity_) return false;  // free space only
+  MG_DCHECK(replica_[data] == 0);
   replica_[data] = 1;
+  ++replica_count_;
   start_transfer(data, /*demand=*/false, TransferPriority::kLow);
   return true;
 }
@@ -86,7 +88,7 @@ bool MemoryManager::fetch_replica(DataId data) {
 void MemoryManager::protect(DataId data) {
   if (!active_) return;
   protected_[data] = 1;
-  replica_[data] = 0;  // a protected copy is not shedable
+  clear_replica(data);  // a protected copy is not shedable
 }
 
 void MemoryManager::unprotect(DataId data) {
@@ -127,50 +129,63 @@ bool MemoryManager::make_room(std::uint64_t bytes) {
   // Overflow-safe form of `capacity_ - committed_ < bytes`: a capacity
   // shock can leave committed_ above capacity_.
   while (committed_ + bytes > capacity_) {
-    // Proactive replicas are shed first (oldest first), before the eviction
-    // policy gets a say: they are insurance, not working-set data.
-    DataId replica_victim = kInvalidData;
-    for (DataId data : resident_) {
-      if (replica_[data] != 0 && pins_[data] == 0 && protected_[data] == 0 &&
-          !vetoed(data)) {
-        replica_victim = data;
-        break;
-      }
-    }
-    if (replica_victim != kInvalidData) {
-      ++replicas_shed_;
-      observer_->on_replica_shed(gpu_, replica_victim);
-      evict(replica_victim);
-      continue;
-    }
-    // Candidates: resident, unpinned, unprotected and not under an SLO
-    // eviction veto. In-flight data are absent from resident_ by
-    // construction.
-    std::vector<DataId> candidates;
-    candidates.reserve(resident_.size());
-    for (DataId data : resident_) {
-      if (pins_[data] != 0 || protected_[data] != 0) continue;
-      if (vetoed(data)) {
-        observer_->on_eviction_vetoed(gpu_, data);
-        continue;
-      }
-      candidates.push_back(data);
-    }
-    if (candidates.empty()) return false;
-    const DataId victim = policy_->choose_victim(gpu_, candidates);
-    if (victim == kInvalidData) return false;
-    MG_DCHECK(std::find(candidates.begin(), candidates.end(), victim) !=
-              candidates.end());
-    evict(victim);
+    if (!evict_one(/*forced=*/false)) return false;
   }
   return true;
+}
+
+bool MemoryManager::evict_one(bool forced) {
+  // Proactive replicas are shed first (oldest first), before the eviction
+  // policy gets a say: they are insurance, not working-set data.
+  if (replica_count_ != 0) {
+    for (DataId data : resident_) {
+      if (replica_[data] != 0 && evictable(data)) {
+        ++replicas_shed_;
+        observer_->on_replica_shed(gpu_, data);
+        evict(data);
+        return true;
+      }
+    }
+  }
+  // Every round reports each unpinned, unprotected resident data the SLO
+  // veto keeps from the policy (the engine debounces the reports).
+  if (!veto_counts_.empty()) {
+    for (DataId data : resident_) {
+      if (pins_[data] == 0 && protected_[data] == 0 && vetoed(data)) {
+        observer_->on_eviction_vetoed(gpu_, data);
+      }
+    }
+  }
+  residents_.reset();
+  DataId victim = policy_->select_victim(gpu_, residents_);
+  if (victim == kInvalidData && forced) {
+    // Under emergency pressure the policy does not get to decline: fall
+    // back to the oldest candidate rather than staying over capacity.
+    const std::span<const DataId> candidates = residents_.candidates();
+    if (!candidates.empty()) victim = candidates.front();
+  }
+  if (victim == kInvalidData) return false;
+  MG_DCHECK(evictable(victim));
+  evict(victim);
+  return true;
+}
+
+std::span<const DataId> MemoryManager::Residents::candidates() {
+  if (!built_) {
+    candidates_.clear();
+    for (DataId data : manager_.resident_) {
+      if (manager_.evictable(data)) candidates_.push_back(data);
+    }
+    built_ = true;
+  }
+  return candidates_;
 }
 
 void MemoryManager::evict(DataId victim) {
   MG_DCHECK(residency_[victim] == Residency::kPresent);
   MG_DCHECK(pins_[victim] == 0);
   MG_DCHECK(protected_[victim] == 0);
-  replica_[victim] = 0;
+  clear_replica(victim);
   residency_[victim] = Residency::kAbsent;
   remove_resident(victim);
   committed_ -= graph_.data_size(victim);
@@ -229,40 +244,9 @@ void MemoryManager::release_scratch(std::uint64_t bytes) {
 
 std::uint32_t MemoryManager::emergency_evict() {
   std::uint32_t evicted = 0;
-  while (committed_ > capacity_) {
-    DataId replica_victim = kInvalidData;
-    for (DataId data : resident_) {
-      if (replica_[data] != 0 && pins_[data] == 0 && protected_[data] == 0 &&
-          !vetoed(data)) {
-        replica_victim = data;
-        break;
-      }
-    }
-    if (replica_victim != kInvalidData) {
-      ++replicas_shed_;
-      observer_->on_replica_shed(gpu_, replica_victim);
-      evict(replica_victim);
-      ++evicted;
-      continue;
-    }
-    std::vector<DataId> candidates;
-    candidates.reserve(resident_.size());
-    for (DataId data : resident_) {
-      if (pins_[data] != 0 || protected_[data] != 0) continue;
-      if (vetoed(data)) {
-        observer_->on_eviction_vetoed(gpu_, data);
-        continue;
-      }
-      candidates.push_back(data);
-    }
-    if (candidates.empty()) break;  // pinned/in-flight overhang drains later
-    DataId victim = policy_->choose_victim(gpu_, candidates);
-    // Under emergency pressure the policy does not get to decline: fall
-    // back to the oldest candidate rather than staying over capacity.
-    if (victim == kInvalidData) victim = candidates.front();
-    evict(victim);
-    ++evicted;
-  }
+  // Pinned data and in-flight reservations cannot go: that overhang drains
+  // later.
+  while (committed_ > capacity_ && evict_one(/*forced=*/true)) ++evicted;
   return evicted;
 }
 
@@ -272,6 +256,7 @@ void MemoryManager::deactivate() {
   std::fill(pins_.begin(), pins_.end(), 0u);
   std::fill(resident_pos_.begin(), resident_pos_.end(), kNoPos);
   std::fill(replica_.begin(), replica_.end(), std::uint8_t{0});
+  replica_count_ = 0;
   std::fill(protected_.begin(), protected_.end(), std::uint8_t{0});
   resident_.clear();
   stalled_.clear();
@@ -294,7 +279,7 @@ void MemoryManager::wipe_resident() {
     MG_DCHECK(pins_[data] == 0);
     residency_[data] = Residency::kAbsent;
     resident_pos_[data] = kNoPos;
-    replica_[data] = 0;
+    clear_replica(data);
     protected_[data] = 0;
     committed_ -= graph_.data_size(data);
     policy_->on_evict(gpu_, data);

@@ -2,10 +2,11 @@
 //
 // Tracks residency of every data item on one GPU (Absent / Fetching /
 // Present), accounts *committed* bytes (resident + in-flight reservations)
-// against the capacity M, and makes room by querying the active
-// core::EvictionPolicy. Pinned data (inputs of the running task, plus the
-// inputs of the task currently being assembled at the head of the worker's
-// pipeline) and in-flight transfers are never eviction candidates.
+// against the capacity M, and makes room by asking the active
+// core::EvictionPolicy to select a victim from its core::ResidentView of the
+// resident set. Pinned data (inputs of the running task, plus the inputs of
+// the task currently being assembled at the head of the worker's pipeline),
+// protected and SLO-vetoed data and in-flight transfers are never evicted.
 //
 // A fetch that cannot make room is parked on a stalled list and retried when
 // evictability can have changed (a pin released, a transfer completed).
@@ -14,7 +15,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/eviction.hpp"
@@ -69,13 +70,13 @@ class MemoryManager final : public core::MemoryView {
   void set_eviction_policy(core::EvictionPolicy* policy) { policy_ = policy; }
   void set_observer(Observer* observer) { observer_ = observer; }
 
-  /// SLO eviction veto: data for which the predicate returns true is
-  /// excluded from every eviction-candidate scan (make_room and
-  /// emergency_evict, replica shedding included) exactly like pinned or
-  /// protected data. The engine installs one engine-global predicate over
-  /// the in-flight high-tier jobs' inputs.
-  void set_eviction_veto(std::function<bool(core::DataId)> veto) {
-    eviction_veto_ = std::move(veto);
+  /// SLO eviction veto: data whose count is nonzero is never evicted
+  /// (make_room and emergency_evict, replica shedding included), exactly
+  /// like pinned or protected data. The engine installs a read-only view of
+  /// its per-data protection refcounts over the in-flight high-tier jobs'
+  /// inputs; the counts must outlive the manager and never move.
+  void set_eviction_veto(std::span<const std::uint32_t> veto_counts) {
+    veto_counts_ = veto_counts;
   }
 
   /// Call when a veto lifts (a protected job retired): parked fetches that
@@ -212,12 +213,47 @@ class MemoryManager final : public core::MemoryView {
     bool demand;
   };
 
+  /// The policy's view of this manager during one victim selection.
+  class Residents final : public core::ResidentView {
+   public:
+    explicit Residents(const MemoryManager& manager) : manager_(manager) {}
+    [[nodiscard]] std::span<const core::DataId> resident() const override {
+      return manager_.resident_;
+    }
+    [[nodiscard]] bool evictable(core::DataId data) const override {
+      return manager_.evictable(data);
+    }
+    [[nodiscard]] std::span<const core::DataId> candidates() override;
+    /// Starts a selection round: the next candidates() call rebuilds.
+    void reset() { built_ = false; }
+
+   private:
+    const MemoryManager& manager_;
+    std::vector<core::DataId> candidates_;  // reused across rounds
+    bool built_ = false;
+  };
+
   [[nodiscard]] bool vetoed(core::DataId data) const {
-    return eviction_veto_ && eviction_veto_(data);
+    return !veto_counts_.empty() && veto_counts_[data] != 0;
+  }
+  [[nodiscard]] bool evictable(core::DataId data) const {
+    return residency_[data] == Residency::kPresent && pins_[data] == 0 &&
+           protected_[data] == 0 && !vetoed(data);
+  }
+  void clear_replica(core::DataId data) {
+    if (replica_[data] != 0) {
+      replica_[data] = 0;
+      --replica_count_;
+    }
   }
 
   /// Evicts until `bytes` fit; false if no victim can be found now.
   bool make_room(std::uint64_t bytes);
+  /// Evicts one data: the oldest sheddable replica, else the policy's
+  /// victim. False when nothing is evictable or the policy refuses; with
+  /// `forced` (emergency pressure) a refusal falls back to the first
+  /// candidate instead.
+  bool evict_one(bool forced);
   void evict(core::DataId victim);
   void start_transfer(core::DataId data, bool demand,
                       TransferPriority priority = TransferPriority::kHigh);
@@ -231,13 +267,14 @@ class MemoryManager final : public core::MemoryView {
   TransferRouter& router_;
   core::EvictionPolicy* policy_ = nullptr;
   Observer* observer_ = nullptr;
-  std::function<bool(core::DataId)> eviction_veto_;
+  std::span<const std::uint32_t> veto_counts_;  // empty = no veto installed
 
   std::vector<Residency> residency_;
   std::vector<std::uint32_t> pins_;
   std::vector<std::uint32_t> resident_pos_;  // index into resident_, or npos
   std::vector<core::DataId> resident_;
   std::vector<std::uint8_t> replica_;    // shed-first proactive copies
+  std::uint32_t replica_count_ = 0;      // replica_ flags set
   std::vector<std::uint8_t> protected_;  // sole-surviving copies, unevictable
   std::deque<StalledFetch> stalled_;
   std::uint64_t committed_ = 0;
@@ -245,6 +282,7 @@ class MemoryManager final : public core::MemoryView {
   std::uint64_t replicas_shed_ = 0;
   bool in_retry_ = false;
   bool active_ = true;
+  Residents residents_{*this};
 
   static constexpr std::uint32_t kNoPos = 0xffffffffu;
 };

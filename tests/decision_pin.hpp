@@ -20,19 +20,21 @@ struct Pin {
   double makespan_us = 0.0;
 };
 
+/// Folds the low `bytes` bytes of `value` into a 64-bit FNV-1a hash.
+inline void fnv1a_mix(std::uint64_t& hash, std::uint32_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    hash ^= (value >> (8 * i)) & 0xffu;
+    hash *= 0x100000001b3ULL;
+  }
+}
+
 /// 64-bit FNV-1a over the (kind, gpu, id) sequence of a recorded trace.
 inline std::uint64_t trace_fingerprint(const sim::Trace& trace) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix = [&hash](std::uint32_t value, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      hash ^= (value >> (8 * i)) & 0xffu;
-      hash *= 0x100000001b3ULL;
-    }
-  };
   for (const sim::TraceEvent& event : trace.events) {
-    mix(static_cast<std::uint32_t>(event.kind), 1);
-    mix(event.gpu, 4);
-    mix(event.id, 4);
+    fnv1a_mix(hash, static_cast<std::uint32_t>(event.kind), 1);
+    fnv1a_mix(hash, event.gpu, 4);
+    fnv1a_mix(hash, event.id, 4);
   }
   return hash;
 }
