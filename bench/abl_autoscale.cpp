@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                    "than fixed-small at no worse deadline-miss rate, with "
                    "zero lost progress");
   serve::add_autoscale_flags(flags);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_autoscale",

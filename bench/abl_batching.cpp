@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                    "point batching beats tiers-only on jobs/s AND high-tier "
                    "p99, with >= 1 fusion, zero invariant violations and a "
                    "byte-identical batching-disabled run");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_batching",

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   util::Flags flags("DARTS decision-cost ablation (scan vs OPTI vs "
                     "threshold vs incremental)");
   bench::add_standard_flags(flags, /*default_gpus=*/4);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_darts_cost", "DARTS variants: quality vs decision cost");

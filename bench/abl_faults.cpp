@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       "replication recovery sweep");
   bench::add_standard_flags(flags, /*default_gpus=*/2);
   flags.define_int("n", 32, "2D matmul dimension (N)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_faults", "graceful degradation under injected faults");

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   bench::add_standard_flags(flags, /*default_gpus=*/4);
   flags.define_double("slow-factor", 0.5,
                       "speed of the slow devices relative to a V100");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   auto config = bench::config_from_flags(
       flags, "abl_hetero", "heterogeneous platform ablation on 2D matmul");

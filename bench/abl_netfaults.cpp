@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                    "assert the headline claim: hedged completes strictly "
                    "more jobs than parked over the partition sweep, and "
                    "fault-free runs are byte-identical with the knobs on");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   auto config = bench::config_from_flags(
       flags, "abl_netfaults",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("NVLink ablation: peer transfers on/off, 4 GPUs");
   bench::add_standard_flags(flags, /*default_gpus=*/4);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_nvlink", "NVLink on/off ablation on 2D matmul");

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                    "point some sharing threshold beats exclusive throughput "
                    "with zero invariant violations and a populated "
                    "schema-v8 occupancy section");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_occupancy",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   util::Flags flags("Output write-back ablation on the 2D matmul");
   bench::add_standard_flags(flags, /*default_gpus=*/2);
   flags.define_int("output-kb", 3686, "output bytes per task (KB)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_outputs", "task-output write-back ablation");

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   bench::add_standard_flags(flags, /*default_gpus=*/2);
   flags.define_bool("random-order", false,
                     "use the randomized submission order (Figure 9 regime)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_push_prefetch", "DMDAR push-prefetch policy ablation");

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Ready-window ablation for DMDAR");
   bench::add_standard_flags(flags, /*default_gpus=*/1);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "abl_ready_window", "Ready window ablation on 2D matmul");

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       .define_int("gpus", 8, "GPUs (spread over --nodes)")
       .define_int("nodes", 4, "cluster nodes")
       .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   std::vector<core::TaskGraph> templates;
   templates.push_back(work::make_matmul_2d(

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       .define_int("n", 8, "matmul template dimension (N)")
       .define_int("gpus", 4, "GPUs")
       .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   std::vector<core::TaskGraph> templates;
   templates.push_back(work::make_matmul_2d(

@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 3: 2D matmul, 1 GPU, GFlop/s vs working set");
   bench::add_standard_flags(flags, /*default_gpus=*/1);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "fig03", "2D matmul on 1 V100, performance");

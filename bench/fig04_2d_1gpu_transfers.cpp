@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 4: 2D matmul, 1 GPU, transfers vs working set");
   bench::add_standard_flags(flags, /*default_gpus=*/1);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "fig04", "2D matmul on 1 V100, data transfers");

@@ -9,7 +9,7 @@ int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 6: 2D matmul, 2 GPUs, with scheduler cost");
   bench::add_standard_flags(flags, /*default_gpus=*/2);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "fig06", "2D matmul on 2 V100s, real, performance");

@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 8: 2D matmul, 4 GPUs, with scheduler cost");
   bench::add_standard_flags(flags, /*default_gpus=*/4);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "fig08", "2D matmul on 4 V100s, performance");

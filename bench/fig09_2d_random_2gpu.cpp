@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   util::Flags flags("Figure 9: randomized 2D matmul, 2 GPUs");
   bench::add_standard_flags(flags, /*default_gpus=*/2);
   flags.define_int("order-seed", 1, "seed of the submission-order shuffle");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "fig09", "2D matmul, randomized submission order, 2 V100s");

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   flags.define_bool("deps", false,
                     "restore the factorization's real task dependencies "
                     "(the paper strips them; see docs/ARCHITECTURE.md)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const bool deps = flags.get_bool("deps");
   const auto config = bench::config_from_flags(

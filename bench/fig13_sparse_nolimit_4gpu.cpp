@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
                             /*default_mem_mb=*/32000);
   flags.define_double("keep", 0.02, "fraction of tasks kept");
   flags.define_int("sparse-seed", 3, "task-dropping seed");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(
       flags, "fig13", "sparse 2D matmul on 4 V100s, no memory limit");

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                      "into the GPU count with >= 1 GPU per node)")
       .define_bool("check", false,
                    "run the online InvariantChecker over every run");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   bench::FigureConfig config = bench::config_from_flags(
       flags, "fig_multinode", "inter-node traffic and balance vs. node count");

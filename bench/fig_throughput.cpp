@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
                   "behaviour). With N > 0 jobs cycle through priorities "
                   "0..N-1 and the CSV grows per-tier p50/p95/p99 columns");
   serve::add_autoscale_flags(flags);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   bench::FigureConfig config = bench::config_from_flags(
       flags, "fig_throughput",

@@ -1,5 +1,7 @@
 // Microbenchmark: end-to-end simulator throughput (simulated tasks per
-// wall second) and per-scheduler decision cost, via full engine runs.
+// wall second) and per-scheduler decision cost, via full engine runs; and
+// the set-up cost of the Cholesky N=100 tile DAG (cholesky_dag's graph),
+// where building the dependency edges weighs as much as simulating it.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -8,6 +10,7 @@
 #include "sched/dmda.hpp"
 #include "sched/eager.hpp"
 #include "sim/engine.hpp"
+#include "workloads/cholesky.hpp"
 #include "workloads/matmul2d.hpp"
 
 namespace {
@@ -56,5 +59,21 @@ BENCHMARK(BM_EngineRun)
     ->Args({static_cast<long>(Kind::kDarts), 64})
     ->Args({static_cast<long>(Kind::kDartsOpti), 64})
     ->Unit(benchmark::kMillisecond);
+
+// Generates and builds the 171,700-task Cholesky N=100 graph; the arg picks
+// with (1) or without (0) dependencies, so the run without them is the
+// control and the difference is the dependency build.
+void BM_BuildCholeskyDag(benchmark::State& state) {
+  const bool with_dependencies = state.range(0) != 0;
+  std::uint64_t dep_edges = 0;
+  for (auto _ : state) {
+    const core::TaskGraph graph = work::make_cholesky_tasks(
+        {.n = 100, .with_dependencies = with_dependencies});
+    dep_edges = graph.dependency_edge_counts().total;
+    benchmark::DoNotOptimize(dep_edges);
+  }
+  state.counters["dep_edges"] = static_cast<double>(dep_edges);
+}
+BENCHMARK(BM_BuildCholeskyDag)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace

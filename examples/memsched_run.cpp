@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
       .define_int("host-mem-mb", 0,
                   "per-node host cache of remote data in MB (0 = unbounded; "
                   "--nodes > 1)");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   using namespace mg;
   const core::TaskGraph graph = make_workload(

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
                      "write the schema-v7 JSON run report (with serving "
                      "section) to this path");
   serve::add_autoscale_flags(flags);
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto arrival = serve::parse_arrival_mode(flags.get_string("arrival"));
   if (!arrival.has_value()) {

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       .define_string("out", "", "output SVG path (default: <csv>.<metric>.svg)")
       .define_string("title", "", "chart title (default: derived)")
       .define_bool("log-y", false, "logarithmic y axis");
-  if (!flags.parse(argc, argv)) return 0;
+  if (!flags.parse(argc, argv)) return flags.exit_status();
 
   if (flags.positional().empty()) {
     std::fprintf(stderr, "usage: plot_figure <figure.csv> [flags]\n");

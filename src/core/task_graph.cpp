@@ -9,6 +9,19 @@ namespace mg::core {
 
 namespace {
 const std::string kEmptyLabel;
+
+/// Offsets of a counting sort of `items` by `key(item)` < `num_buckets`:
+/// bucket b spans [offsets[b], offsets[b + 1]).
+template <typename Items, typename Key>
+std::vector<std::uint32_t> bucket_offsets(std::uint32_t num_buckets,
+                                          const Items& items, Key key) {
+  std::vector<std::uint32_t> offsets(num_buckets + 1, 0);
+  for (const auto& item : items) ++offsets[key(item) + 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return offsets;
+}
+
+constexpr auto kIdentity = [](std::uint32_t id) { return id; };
 }  // namespace
 
 std::uint64_t TaskGraph::input_bytes(TaskId task) const {
@@ -82,7 +95,7 @@ void TaskGraphBuilder::set_task_writes(TaskId task, DataId data) {
   MG_CHECK_MSG(task < task_flops_.size(), "unknown task");
   MG_CHECK_MSG(data < data_sizes_.size(), "written data not registered");
   // Catch the common duplicate (writes declared right after add_task);
-  // build() re-checks the full list once, sorted.
+  // build() checks every task's writes once it has bucketed and sorted them.
   for (auto it = task_write_list_.rbegin();
        it != task_write_list_.rend() && it->first == task; ++it) {
     MG_CHECK_MSG(it->second != data, "duplicate write declaration");
@@ -128,11 +141,7 @@ TaskGraph TaskGraphBuilder::build() const {
 
   // Reverse CSR: data -> consumers, stable in task order.
   const auto num_data = static_cast<std::uint32_t>(data_sizes_.size());
-  std::vector<std::uint32_t> degree(num_data, 0);
-  for (DataId data : task_inputs_) ++degree[data];
-  graph.data_offsets_.assign(num_data + 1, 0);
-  std::partial_sum(degree.begin(), degree.end(),
-                   graph.data_offsets_.begin() + 1);
+  graph.data_offsets_ = bucket_offsets(num_data, task_inputs_, kIdentity);
   graph.data_consumers_.resize(task_inputs_.size());
   std::vector<std::uint32_t> cursor(graph.data_offsets_.begin(),
                                     graph.data_offsets_.end() - 1);
@@ -153,155 +162,155 @@ TaskGraph TaskGraphBuilder::build() const {
   return graph;
 }
 
-// Derives RAW/WAR/WAW edges from the write list, merges in the explicit
-// edges, dedupes into kind-bitmask CSRs and validates acyclicity. On a graph
-// with neither writes nor explicit edges this is a no-op and every
-// dependency array stays empty.
+// Derives RAW/WAR/WAW edges from the write list and merges in the explicit
+// edges one successor at a time, in submission order: a task's few incoming
+// (pred, kind) pairs are sorted by pred and folded straight into the
+// predecessor CSR, and the successor CSR is that CSR's transpose. Nothing
+// sorts a whole list, so the cost is linear in tasks + inputs + edges. Then
+// validates acyclicity. On a graph with neither writes nor explicit edges
+// this is a no-op and every dependency array stays empty.
 void TaskGraphBuilder::build_dependencies(TaskGraph& graph) const {
   if (explicit_edges_.empty() && task_write_list_.empty()) return;
 
   const auto num_tasks = static_cast<TaskId>(task_flops_.size());
   const auto num_data = static_cast<std::uint32_t>(data_sizes_.size());
+  std::vector<std::uint32_t> cursor;  // fill position per counting-sort bucket
 
-  // Full duplicate-write check (the builder only catches adjacent ones).
-  {
-    std::vector<std::pair<TaskId, DataId>> sorted = task_write_list_;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      MG_CHECK_MSG(sorted[i] != sorted[i - 1], "duplicate write declaration");
+  // Write CSRs: task -> written data, bucketed by task and sorted ascending
+  // per task (which puts any duplicate declaration side by side), and
+  // data -> writer tasks in version order (ascending task id).
+  if (!task_write_list_.empty()) {
+    graph.write_offsets_ =
+        bucket_offsets(num_tasks, task_write_list_,
+                       [](const auto& write) { return write.first; });
+    graph.task_writes_.resize(task_write_list_.size());
+    cursor.assign(graph.write_offsets_.begin(), graph.write_offsets_.end() - 1);
+    for (const auto& [task, data] : task_write_list_) {
+      graph.task_writes_[cursor[task]++] = data;
+    }
+    for (TaskId task = 0; task < num_tasks; ++task) {
+      DataId* begin = graph.task_writes_.data() + graph.write_offsets_[task];
+      DataId* end = graph.task_writes_.data() + graph.write_offsets_[task + 1];
+      std::sort(begin, end);
+      MG_CHECK_MSG(std::adjacent_find(begin, end) == end,
+                   "duplicate write declaration");
+    }
+    graph.writer_offsets_ =
+        bucket_offsets(num_data, graph.task_writes_, kIdentity);
+    graph.data_writers_.resize(task_write_list_.size());
+    cursor.assign(graph.writer_offsets_.begin(),
+                  graph.writer_offsets_.end() - 1);
+    for (TaskId task = 0; task < num_tasks; ++task) {
+      for (DataId data : graph.writes(task)) {
+        graph.data_writers_[cursor[data]++] = task;
+      }
     }
   }
 
-  // Write CSRs: task -> written data (ascending per task) and data -> writer
-  // tasks (version order = ascending task id).
-  if (!task_write_list_.empty()) {
-    std::vector<std::uint32_t> write_degree(num_tasks, 0);
-    std::vector<std::uint32_t> writer_degree(num_data, 0);
-    for (const auto& [task, data] : task_write_list_) {
-      ++write_degree[task];
-      ++writer_degree[data];
-    }
-    graph.write_offsets_.assign(num_tasks + 1, 0);
-    std::partial_sum(write_degree.begin(), write_degree.end(),
-                     graph.write_offsets_.begin() + 1);
-    graph.writer_offsets_.assign(num_data + 1, 0);
-    std::partial_sum(writer_degree.begin(), writer_degree.end(),
-                     graph.writer_offsets_.begin() + 1);
-    graph.task_writes_.resize(task_write_list_.size());
-    graph.data_writers_.resize(task_write_list_.size());
-    std::vector<std::pair<TaskId, DataId>> by_task = task_write_list_;
-    std::sort(by_task.begin(), by_task.end());
-    std::vector<std::uint32_t> write_cursor(graph.write_offsets_.begin(),
-                                            graph.write_offsets_.end() - 1);
-    std::vector<std::uint32_t> writer_cursor(graph.writer_offsets_.begin(),
-                                             graph.writer_offsets_.end() - 1);
-    for (const auto& [task, data] : by_task) {
-      graph.task_writes_[write_cursor[task]++] = data;
-      graph.data_writers_[writer_cursor[data]++] = task;
-    }
+  // Explicit predecessors, bucketed by successor.
+  const std::vector<std::uint32_t> explicit_offsets = bucket_offsets(
+      num_tasks, explicit_edges_, [](const auto& edge) { return edge.second; });
+  std::vector<TaskId> explicit_preds(explicit_edges_.size());
+  cursor.assign(explicit_offsets.begin(), explicit_offsets.end() - 1);
+  for (const auto& [pred, succ] : explicit_edges_) {
+    explicit_preds[cursor[succ]++] = pred;
   }
 
   // Edge derivation in task-submission order. Per data: the last writer so
-  // far and the readers of the current version.
-  struct RawEdge {
+  // far, and the readers of the current version as the window
+  // [version_begin, read_end) of its consumer list, which holds the tasks in
+  // the order this walk reaches them.
+  std::vector<TaskId> last_writer(num_data, kInvalidTask);
+  std::vector<std::uint32_t> version_begin(graph.data_offsets_.begin(),
+                                           graph.data_offsets_.end() - 1);
+  std::vector<std::uint32_t> read_end = version_begin;
+  struct Incoming {
     TaskId pred;
-    TaskId succ;
     std::uint8_t kind;
   };
-  std::vector<RawEdge> edges;
-  edges.reserve(explicit_edges_.size() + task_write_list_.size());
-  for (const auto& [pred, succ] : explicit_edges_) {
-    edges.push_back({pred, succ, kDepExplicit});
-  }
-  if (!task_write_list_.empty()) {
-    std::vector<TaskId> last_writer(num_data, kInvalidTask);
-    std::vector<std::vector<TaskId>> version_readers(num_data);
-    for (TaskId task = 0; task < num_tasks; ++task) {
-      // Reads bind to the current version: RAW from its writer, if any. A
-      // task that also writes the data reads the previous version too.
-      for (std::uint32_t e = task_offsets_[task]; e < task_offsets_[task + 1];
-           ++e) {
-        const DataId data = task_inputs_[e];
-        if (last_writer[data] != kInvalidTask) {
-          edges.push_back({last_writer[data], task, kDepRaw});
-        }
-        version_readers[data].push_back(task);
+  std::vector<Incoming> incoming;
+  std::vector<std::uint32_t> pred_offsets(num_tasks + 1, 0);
+  std::vector<TaskId> preds;
+  std::vector<std::uint8_t> pred_kinds;
+  for (TaskId task = 0; task < num_tasks; ++task) {
+    incoming.clear();
+    for (std::uint32_t e = explicit_offsets[task];
+         e < explicit_offsets[task + 1]; ++e) {
+      incoming.push_back({explicit_preds[e], kDepExplicit});
+    }
+    // Reads bind to the current version: RAW from its writer, if any. A
+    // task that also writes the data reads the previous version too.
+    for (std::uint32_t e = task_offsets_[task]; e < task_offsets_[task + 1];
+         ++e) {
+      const DataId data = task_inputs_[e];
+      if (last_writer[data] != kInvalidTask) {
+        incoming.push_back({last_writer[data], kDepRaw});
       }
-      // Writes retire the current version: WAR from its readers, WAW from
-      // its writer; the task becomes the new version's writer.
-      for (DataId data : graph.writes(task)) {
-        for (TaskId reader : version_readers[data]) {
-          if (reader != task) edges.push_back({reader, task, kDepWar});
-        }
-        if (last_writer[data] != kInvalidTask) {
-          edges.push_back({last_writer[data], task, kDepWaw});
-        }
-        last_writer[data] = task;
-        version_readers[data].clear();
+      ++read_end[data];
+    }
+    // Writes retire the current version: WAR from its readers, WAW from
+    // its writer; the task becomes the new version's writer.
+    for (DataId data : graph.writes(task)) {
+      for (std::uint32_t r = version_begin[data]; r < read_end[data]; ++r) {
+        const TaskId reader = graph.data_consumers_[r];
+        if (reader != task) incoming.push_back({reader, kDepWar});
+      }
+      if (last_writer[data] != kInvalidTask) {
+        incoming.push_back({last_writer[data], kDepWaw});
+      }
+      last_writer[data] = task;
+      version_begin[data] = read_end[data];
+    }
+    // Ascending preds, one edge per pred carrying the OR of its kinds.
+    std::sort(incoming.begin(), incoming.end(),
+              [](const Incoming& a, const Incoming& b) {
+                return a.pred < b.pred;
+              });
+    for (std::size_t i = 0; i < incoming.size(); ++i) {
+      if (i > 0 && incoming[i].pred == incoming[i - 1].pred) {
+        pred_kinds.back() |= incoming[i].kind;
+      } else {
+        preds.push_back(incoming[i].pred);
+        pred_kinds.push_back(incoming[i].kind);
       }
     }
+    pred_offsets[task + 1] = static_cast<std::uint32_t>(preds.size());
+  }
+  if (preds.empty()) return;
+
+  graph.dep_counts_.total = preds.size();
+  for (const std::uint8_t kind : pred_kinds) {
+    if (kind & kDepExplicit) ++graph.dep_counts_.explicit_edges;
+    if (kind & kDepRaw) ++graph.dep_counts_.raw;
+    if (kind & kDepWar) ++graph.dep_counts_.war;
+    if (kind & kDepWaw) ++graph.dep_counts_.waw;
   }
 
-  // Dedup: sort by (pred, succ), OR the kind bits of equal pairs.
-  std::sort(edges.begin(), edges.end(),
-            [](const RawEdge& a, const RawEdge& b) {
-              return a.pred != b.pred ? a.pred < b.pred : a.succ < b.succ;
-            });
-  std::vector<RawEdge> unique_edges;
-  unique_edges.reserve(edges.size());
-  for (const RawEdge& edge : edges) {
-    if (!unique_edges.empty() && unique_edges.back().pred == edge.pred &&
-        unique_edges.back().succ == edge.succ) {
-      unique_edges.back().kind |= edge.kind;
-    } else {
-      unique_edges.push_back(edge);
+  // Successor CSR: the transpose, filled in ascending successor order.
+  graph.dep_succ_offsets_ = bucket_offsets(num_tasks, preds, kIdentity);
+  graph.dep_succ_.resize(preds.size());
+  graph.dep_succ_kinds_.resize(preds.size());
+  cursor.assign(graph.dep_succ_offsets_.begin(),
+                graph.dep_succ_offsets_.end() - 1);
+  for (TaskId succ = 0; succ < num_tasks; ++succ) {
+    for (std::uint32_t e = pred_offsets[succ]; e < pred_offsets[succ + 1];
+         ++e) {
+      const std::uint32_t slot = cursor[preds[e]]++;
+      graph.dep_succ_[slot] = succ;
+      graph.dep_succ_kinds_[slot] = pred_kinds[e];
     }
   }
-  if (unique_edges.empty()) return;
-
-  graph.dep_counts_ = DepEdgeCounts{};
-  graph.dep_counts_.total = unique_edges.size();
-  for (const RawEdge& edge : unique_edges) {
-    if (edge.kind & kDepExplicit) ++graph.dep_counts_.explicit_edges;
-    if (edge.kind & kDepRaw) ++graph.dep_counts_.raw;
-    if (edge.kind & kDepWar) ++graph.dep_counts_.war;
-    if (edge.kind & kDepWaw) ++graph.dep_counts_.waw;
-  }
-
-  // Successor CSR (already in (pred, succ) order) and predecessor CSR.
-  std::vector<std::uint32_t> succ_degree(num_tasks, 0);
-  std::vector<std::uint32_t> pred_degree(num_tasks, 0);
-  for (const RawEdge& edge : unique_edges) {
-    ++succ_degree[edge.pred];
-    ++pred_degree[edge.succ];
-  }
-  graph.dep_succ_offsets_.assign(num_tasks + 1, 0);
-  std::partial_sum(succ_degree.begin(), succ_degree.end(),
-                   graph.dep_succ_offsets_.begin() + 1);
-  graph.dep_pred_offsets_.assign(num_tasks + 1, 0);
-  std::partial_sum(pred_degree.begin(), pred_degree.end(),
-                   graph.dep_pred_offsets_.begin() + 1);
-  graph.dep_succ_.resize(unique_edges.size());
-  graph.dep_succ_kinds_.resize(unique_edges.size());
-  graph.dep_pred_.resize(unique_edges.size());
-  graph.dep_pred_kinds_.resize(unique_edges.size());
-  std::vector<std::uint32_t> succ_cursor(graph.dep_succ_offsets_.begin(),
-                                         graph.dep_succ_offsets_.end() - 1);
-  std::vector<std::uint32_t> pred_cursor(graph.dep_pred_offsets_.begin(),
-                                         graph.dep_pred_offsets_.end() - 1);
-  for (const RawEdge& edge : unique_edges) {
-    graph.dep_succ_[succ_cursor[edge.pred]] = edge.succ;
-    graph.dep_succ_kinds_[succ_cursor[edge.pred]++] = edge.kind;
-    graph.dep_pred_[pred_cursor[edge.succ]] = edge.pred;
-    graph.dep_pred_kinds_[pred_cursor[edge.succ]++] = edge.kind;
-  }
+  graph.dep_pred_offsets_ = std::move(pred_offsets);
+  graph.dep_pred_ = std::move(preds);
+  graph.dep_pred_kinds_ = std::move(pred_kinds);
 
   // Kahn topological sweep: validates acyclicity and yields the critical
   // path length (longest chain, counted in tasks).
-  std::vector<std::uint32_t> pending(pred_degree);
+  std::vector<std::uint32_t> pending(num_tasks);
   std::vector<std::uint32_t> depth(num_tasks, 1);
   std::vector<TaskId> frontier;
   for (TaskId task = 0; task < num_tasks; ++task) {
+    pending[task] = graph.num_predecessors(task);
     if (pending[task] == 0) frontier.push_back(task);
   }
   std::uint32_t visited = 0;

@@ -16,9 +16,13 @@
 //
 // Storage is CSR in both directions (task -> inputs, data -> consumers, and
 // for dependencies predecessors/successors) so every scheduler query is a
-// contiguous span scan. A graph without dependencies carries none of the
-// dependency arrays — the independent-task fast paths stay untouched. The
-// graph is immutable after TaskGraphBuilder::build().
+// contiguous span scan. build() fills the dependency CSRs one successor at a
+// time in submission order: each task's few incoming edges are sorted by
+// pred and folded into the predecessor CSR, and the successor CSR is its
+// counting-sort transpose, so the cost is linear in tasks + inputs + edges
+// plus one short per-task sort. A graph without dependencies carries none of
+// the dependency arrays — the independent-task fast paths stay untouched.
+// The graph is immutable after TaskGraphBuilder::build().
 #pragma once
 
 #include <cstdint>

@@ -82,6 +82,7 @@ bool Flags::parse(int argc, char** argv) {
     }
     if (it == entries_.end()) {
       std::fprintf(stderr, "unknown flag: --%s (see --help)\n", name.c_str());
+      exit_status_ = 2;
       return false;
     }
 
@@ -92,24 +93,32 @@ bool Flags::parse(int argc, char** argv) {
       }
       if (i + 1 >= argc) {
         std::fprintf(stderr, "flag --%s expects a value\n", name.c_str());
+        exit_status_ = 2;
         return false;
       }
       value = argv[++i];
     }
-    if (!assign(name, value)) return false;
+    if (!assign(name, value)) {
+      exit_status_ = 2;
+      return false;
+    }
   }
   return true;
 }
 
 bool Flags::assign(const std::string& name, const std::string& value) {
   Entry& entry = entries_.at(name);
+  // A number must span the whole value: `--n=12abc` is an error, not 12.
+  std::size_t parsed = 0;
   try {
     switch (entry.kind) {
       case Kind::kInt:
-        entry.int_value = std::stoll(value);
+        entry.int_value = std::stoll(value, &parsed);
+        if (parsed != value.size()) throw std::invalid_argument("trailing");
         break;
       case Kind::kDouble:
-        entry.double_value = std::stod(value);
+        entry.double_value = std::stod(value, &parsed);
+        if (parsed != value.size()) throw std::invalid_argument("trailing");
         break;
       case Kind::kBool:
         if (value == "true" || value == "1") {

@@ -2,7 +2,8 @@
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` /
 // `--no-name`. Unknown flags are an error (to catch typos in experiment
-// scripts); positional arguments are collected in order.
+// scripts), as are bad and missing values: the binary exits 2 on any of
+// them, 0 after `--help`. Positional arguments are collected in order.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +28,13 @@ class Flags {
                        const std::string& default_value,
                        const std::string& help);
 
-  /// Parses argv. On `--help`, prints usage and returns false (caller should
-  /// exit 0). On malformed input, prints the problem and returns false.
+  /// Parses argv. On `--help`, prints usage and returns false; on an unknown
+  /// flag or a bad or missing value, prints the problem and returns false.
+  /// Either way the caller should return exit_status() from main.
   [[nodiscard]] bool parse(int argc, char** argv);
+
+  /// Why parse() returned false: 0 after `--help`, 2 after a flag error.
+  [[nodiscard]] int exit_status() const { return exit_status_; }
 
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
@@ -60,6 +65,7 @@ class Flags {
   std::string description_;
   std::map<std::string, Entry> entries_;
   std::vector<std::string> positional_;
+  int exit_status_ = 0;
 };
 
 }  // namespace mg::util

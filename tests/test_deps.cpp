@@ -1,8 +1,12 @@
 // Dependency-model test battery (ctest label: deps).
 //
-// Four angles on the DAG machinery:
+// Five angles on the DAG machinery:
 //   - a brute-force oracle for the RAW/WAR/WAW derivation over random
-//     read/write footprints, checked edge-by-edge against the builder;
+//     read/write footprints and explicit edges, checked edge-by-edge
+//     against TaskGraphBuilder, plus the CSR promises of the graph's
+//     header;
+//   - graph pins: a fingerprint of every dependency array the build
+//     exposes, on the benchmark's Cholesky DAG and on hand-built corners;
 //   - property tests on randomized layered DAGs: every execution order the
 //     engine realizes is topological, across schedulers and platforms;
 //   - bit-identity: with an empty edge set the run report JSON string is
@@ -16,8 +20,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,6 +39,7 @@
 #include "sim/inspector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "decision_pin.hpp"
 #include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -56,12 +63,15 @@ struct OracleEdge {
 /// Independent re-derivation of the versioned-data edge rules: in submission
 /// order, a read binds to the current version (RAW from its writer); a write
 /// retires the current version (WAR from its readers, WAW from its writer)
-/// and opens the next. Duplicate (pred, succ) pairs OR their kind bits.
+/// and opens the next. Explicit edges join as kDepExplicit; duplicate
+/// (pred, succ) pairs OR their kind bits.
 std::map<std::pair<TaskId, TaskId>, std::uint8_t> oracle_edges(
     std::uint32_t num_tasks, std::uint32_t num_data,
     const std::vector<std::vector<DataId>>& reads,
-    const std::vector<std::vector<DataId>>& writes) {
+    const std::vector<std::vector<DataId>>& writes,
+    const std::vector<std::pair<TaskId, TaskId>>& explicit_edges) {
   std::map<std::pair<TaskId, TaskId>, std::uint8_t> edges;
+  for (const auto& edge : explicit_edges) edges[edge] |= core::kDepExplicit;
   std::vector<TaskId> writer(num_data, core::kInvalidTask);
   std::vector<std::vector<TaskId>> readers(num_data);
   for (TaskId task = 0; task < num_tasks; ++task) {
@@ -83,6 +93,12 @@ std::map<std::pair<TaskId, TaskId>, std::uint8_t> oracle_edges(
     }
   }
   return edges;
+}
+
+/// True if `ids` is strictly ascending (sorted, no repeats).
+bool strictly_ascending(std::span<const std::uint32_t> ids) {
+  return std::adjacent_find(ids.begin(), ids.end(),
+                            std::greater_equal<>()) == ids.end();
 }
 
 TEST(DepsOracle, DerivationMatchesBruteForce) {
@@ -107,7 +123,8 @@ TEST(DepsOracle, DerivationMatchesBruteForce) {
       }
       const TaskId id = builder.add_task(1.0, reads[task]);
       ASSERT_EQ(id, task);
-      // 0-2 written data items; a write may or may not also be a read.
+      // 0-2 written data items, in random order; a write may or may not
+      // also be a read.
       const auto num_writes = rng.below(3);
       for (std::uint64_t w = 0; w < num_writes; ++w) {
         const auto data = static_cast<DataId>(rng.below(num_data));
@@ -118,8 +135,22 @@ TEST(DepsOracle, DerivationMatchesBruteForce) {
         }
       }
     }
+    // Forward explicit edges, about a quarter of them declared twice.
+    std::vector<std::pair<TaskId, TaskId>> explicit_edges;
+    const auto num_explicit = rng.below(num_tasks);
+    for (std::uint64_t e = 0; e < num_explicit; ++e) {
+      const auto a = static_cast<TaskId>(rng.below(num_tasks));
+      const auto b = static_cast<TaskId>(rng.below(num_tasks));
+      if (a == b) continue;
+      const int copies = rng.chance(0.25) ? 2 : 1;
+      for (int copy = 0; copy < copies; ++copy) {
+        builder.add_dependency(std::min(a, b), std::max(a, b));
+        explicit_edges.emplace_back(std::min(a, b), std::max(a, b));
+      }
+    }
     const core::TaskGraph graph = builder.build();
-    const auto expected = oracle_edges(num_tasks, num_data, reads, writes);
+    const auto expected =
+        oracle_edges(num_tasks, num_data, reads, writes, explicit_edges);
     SCOPED_TRACE("round " + std::to_string(round) + ": " +
                  std::to_string(expected.size()) + " oracle edges");
 
@@ -136,13 +167,56 @@ TEST(DepsOracle, DerivationMatchesBruteForce) {
             << "builder invented edge " << preds[i] << " -> " << task;
         EXPECT_EQ(kinds[i], it->second)
             << "kind mismatch on " << preds[i] << " -> " << task;
-        // Derived edges always point forward in submission order.
+        // Derived and (here) explicit edges point forward in submission
+        // order.
         EXPECT_LT(preds[i], task);
       }
     }
     EXPECT_EQ(graph_edges, expected.size());
     EXPECT_EQ(graph.dependency_edge_counts().total, expected.size());
     EXPECT_EQ(graph.has_dependencies(), !expected.empty());
+
+    // The header's promises: both edge lists ascending, the successor CSR
+    // the exact transpose of the predecessor CSR with equal kinds, writes
+    // ascending per task, writers in version (task) order.
+    std::uint64_t successor_edges = 0;
+    for (TaskId task = 0; task < num_tasks; ++task) {
+      EXPECT_TRUE(strictly_ascending(graph.predecessors(task))) << task;
+      const auto succs = graph.successors(task);
+      const auto kinds = graph.successor_kinds(task);
+      ASSERT_EQ(succs.size(), kinds.size());
+      EXPECT_TRUE(strictly_ascending(succs)) << task;
+      successor_edges += succs.size();
+      for (std::size_t i = 0; i < succs.size(); ++i) {
+        const auto preds = graph.predecessors(succs[i]);
+        const auto at = std::find(preds.begin(), preds.end(), task);
+        ASSERT_NE(at, preds.end()) << task << " -> " << succs[i];
+        EXPECT_EQ(graph.predecessor_kinds(succs[i])[static_cast<std::size_t>(
+                      at - preds.begin())],
+                  kinds[i])
+            << task << " -> " << succs[i];
+      }
+      std::vector<DataId> declared = writes[task];
+      std::sort(declared.begin(), declared.end());
+      EXPECT_EQ(std::vector<DataId>(graph.writes(task).begin(),
+                                    graph.writes(task).end()),
+                declared)
+          << task;
+    }
+    EXPECT_EQ(successor_edges, graph_edges);
+    for (DataId data = 0; data < num_data; ++data) {
+      std::vector<TaskId> writers;
+      for (TaskId task = 0; task < num_tasks; ++task) {
+        if (std::find(writes[task].begin(), writes[task].end(), data) !=
+            writes[task].end()) {
+          writers.push_back(task);
+        }
+      }
+      EXPECT_EQ(std::vector<TaskId>(graph.writers(data).begin(),
+                                    graph.writers(data).end()),
+                writers)
+          << data;
+    }
   }
 }
 
@@ -163,6 +237,216 @@ TEST(DepsOracle, CholeskyAndLuCriticalPaths) {
   EXPECT_FALSE(flat.has_dependencies());
   EXPECT_EQ(flat.critical_path_length(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Build-time rejections: the checks only build() can make.
+// ---------------------------------------------------------------------------
+
+TEST(DepsDeathTest, RejectsDuplicateWriteDeclaredApart) {
+  // set_task_writes catches a repeat only among the task's latest
+  // declarations; this one is separated by another task's write.
+  core::TaskGraphBuilder builder;
+  const DataId d0 = builder.add_data(4);
+  const DataId d1 = builder.add_data(4);
+  const TaskId t0 = builder.add_task(1.0, {d0});
+  const TaskId t1 = builder.add_task(1.0, {d1});
+  builder.set_task_writes(t0, d0);
+  builder.set_task_writes(t1, d1);
+  builder.set_task_writes(t0, d0);
+  EXPECT_DEATH((void)builder.build(), "duplicate write declaration");
+}
+
+TEST(DepsDeathTest, RejectsCycles) {
+  core::TaskGraphBuilder builder;
+  const DataId d0 = builder.add_data(4);
+  for (int t = 0; t < 3; ++t) builder.add_task(1.0, {d0});
+  // A 2-cycle of explicit edges.
+  builder.add_dependency(0, 1);
+  builder.add_dependency(1, 0);
+  EXPECT_DEATH((void)builder.build(), "dependency cycle in task graph");
+
+  // A 3-cycle of explicit edges.
+  builder.clear();
+  const DataId d1 = builder.add_data(4);
+  for (int t = 0; t < 3; ++t) builder.add_task(1.0, {d1});
+  builder.add_dependency(0, 1);
+  builder.add_dependency(1, 2);
+  builder.add_dependency(2, 0);
+  EXPECT_DEATH((void)builder.build(), "dependency cycle in task graph");
+
+  // An explicit edge closing a 2-cycle with a derived RAW edge.
+  builder.clear();
+  const DataId d2 = builder.add_data(4);
+  const TaskId writer = builder.add_task(1.0, {d2});
+  builder.set_task_writes(writer, d2);
+  const TaskId reader = builder.add_task(1.0, {d2});
+  builder.add_dependency(reader, writer);
+  EXPECT_DEATH((void)builder.build(), "dependency cycle in task graph");
+}
+
+TEST(DepsDeathTest, RejectsSelfDependency) {
+  core::TaskGraphBuilder builder;
+  const TaskId task = builder.add_task(1.0, {builder.add_data(4)});
+  EXPECT_DEATH(builder.add_dependency(task, task), "self-dependency");
+}
+
+// ---------------------------------------------------------------------------
+// Graph pins: every dependency array the build exposes. The engine releases
+// successors in CSR order, so a change to the build must reproduce these
+// arrays element for element, not just the edge set.
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a over each task's predecessors and successors (each with
+/// its kinds) and writes, each data's writers (every list prefixed by its
+/// length), the five edge counts, the critical path and has_dependencies().
+std::uint64_t graph_fingerprint(const core::TaskGraph& graph) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix_ids = [&hash](std::span<const std::uint32_t> ids) {
+    test::fnv1a_mix(hash, static_cast<std::uint32_t>(ids.size()), 4);
+    for (const std::uint32_t id : ids) test::fnv1a_mix(hash, id, 4);
+  };
+  auto mix_kinds = [&hash](std::span<const std::uint8_t> kinds) {
+    for (const std::uint8_t kind : kinds) test::fnv1a_mix(hash, kind, 1);
+  };
+  for (TaskId task = 0; task < graph.num_tasks(); ++task) {
+    mix_ids(graph.predecessors(task));
+    mix_kinds(graph.predecessor_kinds(task));
+    mix_ids(graph.successors(task));
+    mix_kinds(graph.successor_kinds(task));
+    mix_ids(graph.writes(task));
+  }
+  for (DataId data = 0; data < graph.num_data(); ++data) {
+    mix_ids(graph.writers(data));
+  }
+  const core::DepEdgeCounts& counts = graph.dependency_edge_counts();
+  for (const std::uint64_t count : {counts.total, counts.explicit_edges,
+                                    counts.raw, counts.war, counts.waw}) {
+    test::fnv1a_mix(hash, static_cast<std::uint32_t>(count), 4);
+    test::fnv1a_mix(hash, static_cast<std::uint32_t>(count >> 32), 4);
+  }
+  test::fnv1a_mix(hash, graph.critical_path_length(), 4);
+  test::fnv1a_mix(hash, graph.has_dependencies() ? 1u : 0u, 1);
+  return hash;
+}
+
+/// Duplicate explicit edges, explicit edges that repeat derived ones or run
+/// from a higher id to a lower one, and tasks whose several writes are
+/// declared out of order, one of them after a later task was added.
+core::TaskGraph make_corner_case_graph() {
+  core::TaskGraphBuilder builder;
+  for (int d = 0; d < 5; ++d) builder.add_data(100);
+  const TaskId t0 = builder.add_task(1.0, {0});
+  builder.set_task_writes(t0, 1);
+  const TaskId t1 = builder.add_task(1.0, {0, 1});
+  builder.set_task_writes(t0, 0);
+  const TaskId t2 = builder.add_task(1.0, {1, 2});
+  builder.set_task_writes(t2, 2);
+  builder.set_task_writes(t2, 1);
+  const TaskId t3 = builder.add_task(1.0, {3});
+  builder.set_task_writes(t3, 3);
+  const TaskId t4 = builder.add_task(1.0, {1, 3});
+  const TaskId t5 = builder.add_task(1.0, {4});
+  builder.set_task_writes(t5, 4);
+  builder.set_task_writes(t5, 0);
+  builder.add_dependency(t0, t1);  // repeats the derived RAW edges
+  builder.add_dependency(t0, t1);
+  builder.add_dependency(t3, t1);  // higher id to lower
+  builder.add_dependency(t3, t2);
+  builder.add_dependency(t2, t4);  // repeats a derived RAW edge
+  builder.add_dependency(t4, t5);
+  builder.add_dependency(t4, t5);
+  return builder.build();
+}
+
+/// A chain of explicit edges, every one from a higher id to a lower one.
+core::TaskGraph make_descending_chain() {
+  core::TaskGraphBuilder builder;
+  const DataId data = builder.add_data(100);
+  for (int t = 0; t < 40; ++t) builder.add_task(1.0, {data});
+  for (TaskId t = 39; t > 0; --t) builder.add_dependency(t, t - 1);
+  return builder.build();
+}
+
+/// Every task writes its own data and no other task reads it: write CSRs,
+/// but no dependency edge.
+core::TaskGraph make_edgeless_writes() {
+  core::TaskGraphBuilder builder;
+  const DataId shared = builder.add_data(100);
+  for (int t = 0; t < 8; ++t) {
+    const DataId own = builder.add_data(100);
+    builder.set_task_writes(builder.add_task(1.0, {shared, own}), own);
+  }
+  return builder.build();
+}
+
+core::TaskGraph make_layered(std::uint64_t seed, bool with_writes) {
+  return work::make_layered_dag({.num_layers = 6,
+                                 .tasks_per_layer = 24,
+                                 .num_data = 20,
+                                 .min_inputs = 1,
+                                 .max_inputs = 3,
+                                 .max_preds = 3,
+                                 .with_writes = with_writes,
+                                 .data_bytes = 50,
+                                 .task_flops = 1e6,
+                                 .seed = seed});
+}
+
+struct GraphPinCase {
+  const char* name;
+  core::TaskGraph (*graph)();
+  std::uint64_t expected;
+};
+
+// gtest prints the parameter into each test's listed name; print the case
+// name so that name does not carry the address of the name string.
+void PrintTo(const GraphPinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
+
+// Reference values: the sort-based build (every derived and explicit edge
+// in one list, sorted by (pred, succ) and deduplicated) gives these arrays.
+const GraphPinCase kGraphPinCases[] = {
+    // cholesky_dag's graph.
+    {"CholeskyN100",
+     [] {
+       return work::make_cholesky_tasks({.n = 100, .with_dependencies = true});
+     },
+     0xfd0edd97ab14b1c8ULL},
+    {"CholeskyN12Outputs",
+     [] {
+       return work::make_cholesky_tasks(
+           {.n = 12, .with_outputs = true, .with_dependencies = true});
+     },
+     0x38d731a2e878bb20ULL},
+    {"LuN30",
+     [] { return work::make_lu_tasks({.n = 30, .with_dependencies = true}); },
+     0xcd97a40b425f8d1fULL},
+    {"LayeredWrites1", [] { return make_layered(1, true); },
+     0x6fa836689bee587eULL},
+    {"LayeredWrites2", [] { return make_layered(2, true); },
+     0xbd0b0b37bade2f53ULL},
+    {"LayeredWrites3", [] { return make_layered(3, true); },
+     0x7a31de5fab763132ULL},
+    {"LayeredExplicitOnly", [] { return make_layered(4, false); },
+     0x68bb8d3f9b379d93ULL},
+    {"CornerCases", make_corner_case_graph, 0x7c5f8f623e6f6730ULL},
+    {"DescendingChain", make_descending_chain, 0x32a7badb277edd1fULL},
+    {"WritesWithoutEdges", make_edgeless_writes, 0xe6562deb95e3b037ULL},
+};
+
+class GraphPin : public testing::TestWithParam<GraphPinCase> {};
+
+TEST_P(GraphPin, BuildRepeatsExactly) {
+  const GraphPinCase& pin_case = GetParam();
+  const std::uint64_t actual = graph_fingerprint(pin_case.graph());
+  EXPECT_EQ(actual, pin_case.expected) << "actual 0x" << std::hex << actual;
+}
+
+INSTANTIATE_TEST_SUITE_P(Graphs, GraphPin, testing::ValuesIn(kGraphPinCases),
+                         [](const testing::TestParamInfo<GraphPinCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 // ---------------------------------------------------------------------------
 // Property: realized execution order is topological, across schedulers.

@@ -118,6 +118,7 @@ TEST(Flags, RejectsUnknownFlag) {
   flags.define_int("n", 1, "");
   const char* argv[] = {"prog", "--bogus=3"};
   EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+  EXPECT_EQ(flags.exit_status(), 2);
 }
 
 TEST(Flags, RejectsBadValue) {
@@ -125,6 +126,25 @@ TEST(Flags, RejectsBadValue) {
   flags.define_int("n", 1, "");
   const char* argv[] = {"prog", "--n=abc"};
   EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
+  EXPECT_EQ(flags.exit_status(), 2);
+}
+
+TEST(Flags, HelpExitsZeroAndFlagErrorsExitTwo) {
+  auto status_after = [](std::vector<const char*> argv) {
+    Flags flags;
+    flags.define_int("n", 1, "").define_bool("on", false, "");
+    EXPECT_FALSE(flags.parse(static_cast<int>(argv.size()),
+                             const_cast<char**>(argv.data())));
+    return flags.exit_status();
+  };
+  EXPECT_EQ(status_after({"prog", "--help"}), 0);
+  EXPECT_EQ(status_after({"prog", "--n=2", "-h"}), 0);
+  EXPECT_EQ(status_after({"prog", "--no-such-flag"}), 2);
+  EXPECT_EQ(status_after({"prog", "--no-n"}), 2);
+  EXPECT_EQ(status_after({"prog", "--on=maybe"}), 2);
+  EXPECT_EQ(status_after({"prog", "--n=12abc"}), 2);
+  EXPECT_EQ(status_after({"prog", "--n="}), 2);
+  EXPECT_EQ(status_after({"prog", "--n"}), 2);
 }
 
 TEST(CsvWriter, WritesHeaderRowsAndComments) {
