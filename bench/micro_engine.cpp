@@ -1,15 +1,19 @@
 // Microbenchmark: end-to-end simulator throughput (simulated tasks per
-// wall second) and per-scheduler decision cost, via full engine runs; and
-// the set-up cost of the Cholesky N=100 tile DAG (cholesky_dag's graph),
-// where building the dependency edges weighs as much as simulating it.
+// wall second) and per-scheduler decision cost, via full engine runs; the
+// set-up cost of the Cholesky N=100 tile DAG (cholesky_dag's graph),
+// where building the dependency edges weighs as much as simulating it;
+// and the event queue alone, one schedule plus one run per iteration.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "core/darts.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager.hpp"
 #include "sim/engine.hpp"
+#include "sim/event_queue.hpp"
+#include "util/rng.hpp"
 #include "workloads/cholesky.hpp"
 #include "workloads/matmul2d.hpp"
 
@@ -75,5 +79,29 @@ void BM_BuildCholeskyDag(benchmark::State& state) {
   state.counters["dep_edges"] = static_cast<double>(dep_edges);
 }
 BENCHMARK(BM_BuildCholeskyDag)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Schedules one event and runs the earliest per iteration, with the arg's
+// count of events standing in the queue (64: a small engine; 20,000: a
+// streamed run's depth). Delays fall on an integer grid, so keys tie on
+// time; callbacks carry a pointer and two ids, like the engine's.
+void BM_EventQueueChurn(benchmark::State& state) {
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  util::Rng rng(1);
+  sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  auto schedule = [&](std::uint32_t id) {
+    const auto delay = static_cast<double>(rng.below(1000));
+    queue.schedule_after(delay, [&fired, id, depth] { fired += id + depth; });
+  };
+  for (std::uint32_t id = 0; id < depth; ++id) schedule(id);
+  std::uint32_t id = 0;
+  for (auto _ : state) {
+    schedule(id++);
+    queue.run_one();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueChurn)->Arg(64)->Arg(20000);
 
 }  // namespace

@@ -70,7 +70,8 @@ void JobTracker::on_event(const sim::InspectorEvent& event) {
     case sim::InspectorEventKind::kJobComplete:
       finish_us_[event.id] = event.time_us;
       --in_flight_;
-      counted_[event.id].clear();  // the job can never reuse again
+      // The job can never reuse again: release the list and its capacity.
+      std::vector<std::uint64_t>().swap(counted_[event.id]);
       break;
     case sim::InspectorEventKind::kJobShed:
       shed_[event.id] = 1;
@@ -93,10 +94,12 @@ void JobTracker::on_event(const sim::InspectorEvent& event) {
         if (loaded_epoch_[event.gpu][data] >= job_epoch_[job]) continue;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(event.gpu) << 32) | data;
-        if (counted_[job].insert(key).second) {
-          reuse_bytes_ += graph_->data_size(data);
-          ++reuse_hits_;
-        }
+        std::vector<std::uint64_t>& counted = counted_[job];
+        const auto at = std::lower_bound(counted.begin(), counted.end(), key);
+        if (at != counted.end() && *at == key) continue;
+        counted.insert(at, key);
+        reuse_bytes_ += graph_->data_size(data);
+        ++reuse_hits_;
       }
       break;
     }

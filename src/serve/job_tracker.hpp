@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -79,8 +78,10 @@ class JobTracker final : public sim::Inspector {
   std::vector<std::uint32_t> job_epoch_;
   std::vector<std::vector<std::uint8_t>> resident_;      // [gpu][data]
   std::vector<std::vector<std::uint32_t>> loaded_epoch_; // [gpu][data]
-  /// (gpu << 32 | data) pairs already counted for each in-flight job.
-  std::vector<std::set<std::uint64_t>> counted_;
+  /// (gpu << 32 | data) keys already counted for each in-flight job, kept
+  /// sorted for binary search. Freed with its capacity at kJobComplete, so
+  /// only in-flight jobs hold memory.
+  std::vector<std::vector<std::uint64_t>> counted_;
   std::uint64_t reuse_bytes_ = 0;
   std::uint64_t reuse_hits_ = 0;
 

@@ -119,11 +119,13 @@ ServeResult ServeEngine::run() {
   sim::EventQueue& events = engine_.event_queue();
   const std::uint32_t num_jobs = union_.num_jobs;
   if (config_.arrival.mode == ArrivalMode::kPoisson) {
-    const std::vector<double> times = poisson_arrival_times_us(
+    // Every time is drawn now, but only the next arrival waits in the
+    // queue: each one queues its successor under the sequence number it
+    // would have taken here, so the pop order is that of queuing them all.
+    poisson_times_us_ = poisson_arrival_times_us(
         num_jobs, config_.arrival.rate_jobs_per_s, config_.arrival.seed);
-    for (std::uint32_t job = 0; job < num_jobs; ++job) {
-      events.schedule_at(times[job], [this, job] { submit(job); });
-    }
+    poisson_sequence_ = events.reserve_sequences(num_jobs);
+    schedule_poisson_arrival(0);  // build_union_graph rejects 0 jobs
     next_job_ = num_jobs;
   } else {
     MG_CHECK_MSG(config_.arrival.concurrency > 0,
@@ -363,6 +365,16 @@ void ServeEngine::on_job_retired(std::uint32_t job) {
   }
   if (drained) tracker_.note_queue_depth(now, admission_.queue_depth());
   maybe_refill_closed_loop();
+}
+
+void ServeEngine::schedule_poisson_arrival(std::uint32_t job) {
+  engine_.event_queue().schedule_reserved(
+      poisson_times_us_[job], poisson_sequence_ + job, [this, job] {
+        if (job + 1 < poisson_times_us_.size()) {
+          schedule_poisson_arrival(job + 1);
+        }
+        submit(job);
+      });
 }
 
 void ServeEngine::maybe_refill_closed_loop() {

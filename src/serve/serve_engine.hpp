@@ -123,6 +123,10 @@ class ServeEngine {
   void on_job_retired(std::uint32_t job);
   void maybe_refill_closed_loop();
 
+  /// Queues Poisson arrival `job` under its reserved sequence number; when
+  /// it fires it queues arrival job + 1 the same way, then submits.
+  void schedule_poisson_arrival(std::uint32_t job);
+
   /// Priority the admission queue and the scheduler see: the job's own
   /// priority plus its tier's admission weight (the raw priority when the
   /// SLO layer is off).
@@ -157,6 +161,8 @@ class ServeEngine {
   JobTracker tracker_;
   sim::RuntimeEngine engine_;
   std::uint32_t next_job_ = 0;  ///< next closed-loop submission
+  std::vector<double> poisson_times_us_;  ///< per job, drawn by run()
+  std::uint64_t poisson_sequence_ = 0;    ///< job 0's reserved sequence
   std::optional<slo::BatchPlanner> planner_;  ///< armed iff slo batching on
   /// Distinct input DataIds per job (filled only when protection is armed).
   std::vector<std::vector<core::DataId>> job_inputs_;

@@ -3,11 +3,15 @@
 // A single monotonically-advancing clock (microseconds) and a priority queue
 // of (time, sequence, callback). Ties are broken by insertion sequence, so a
 // run is fully deterministic regardless of heap implementation details.
+//
+// The binary heap holds plain 24-byte (time, sequence, slot) keys; each
+// callback sits in a slot of a side vector (recycled through a free list),
+// so a sift moves keys only, never a std::function.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -24,8 +28,7 @@ class EventQueue {
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   void schedule_at(double time, Callback callback) {
-    MG_DCHECK(time >= now_);
-    heap_.push(Event{time, next_sequence_++, std::move(callback)});
+    push(time, next_sequence_++, std::move(callback));
   }
 
   void schedule_after(double delay, Callback callback) {
@@ -33,17 +36,38 @@ class EventQueue {
     schedule_at(now_ + delay, std::move(callback));
   }
 
+  /// Takes `count` consecutive sequence numbers now and returns the first.
+  /// An event queued later under one of them (schedule_reserved) sorts
+  /// exactly where it would have had it been queued at this call, so a
+  /// caller can hand out a known series of events one at a time.
+  [[nodiscard]] std::uint64_t reserve_sequences(std::uint64_t count) {
+    const std::uint64_t first = next_sequence_;
+    next_sequence_ += count;
+    return first;
+  }
+
+  /// Queues `callback` under a number from reserve_sequences(); each
+  /// reserved number is used at most once.
+  void schedule_reserved(double time, std::uint64_t sequence,
+                         Callback callback) {
+    MG_DCHECK(sequence < next_sequence_);
+    push(time, sequence, std::move(callback));
+  }
+
   /// Pops and runs the earliest event. Returns false when the queue is empty.
   bool run_one() {
     if (heap_.empty()) return false;
-    // Moving out of the priority queue top requires a const_cast; the element
-    // is popped immediately after, so ordering is unaffected.
-    Event event = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
-    MG_DCHECK(event.time >= now_);
-    now_ = event.time;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    MG_DCHECK(key.time >= now_);
+    now_ = key.time;
     ++processed_;
-    event.callback();
+    // The slot is free before the callback runs: whatever it schedules may
+    // reuse the slot or grow the slot vector.
+    Callback callback = std::move(slots_[key.slot]);
+    free_slots_.push_back(key.slot);
+    callback();
     return true;
   }
 
@@ -53,18 +77,38 @@ class EventQueue {
   }
 
  private:
-  struct Event {
+  struct Key {
     double time;
     std::uint64_t sequence;
-    Callback callback;
+    std::uint32_t slot;
+  };
 
-    bool operator>(const Event& other) const {
-      if (time != other.time) return time > other.time;
-      return sequence > other.sequence;
+  /// Heap order: std::*_heap keep the greatest on top, so "greater" is
+  /// "later" and the earliest (time, sequence) pops first.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.sequence > b.sequence;
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+  void push(double time, std::uint64_t sequence, Callback callback) {
+    MG_DCHECK(time >= now_);
+    auto slot = static_cast<std::uint32_t>(slots_.size());
+    if (free_slots_.empty()) {
+      slots_.push_back(std::move(callback));
+    } else {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+      slots_[slot] = std::move(callback);
+    }
+    heap_.push_back(Key{time, sequence, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+
+  std::vector<Key> heap_;
+  std::vector<Callback> slots_;
+  std::vector<std::uint32_t> free_slots_;
   double now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t processed_ = 0;

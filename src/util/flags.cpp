@@ -112,10 +112,14 @@ bool Flags::assign(const std::string& name, const std::string& value) {
   std::size_t parsed = 0;
   try {
     switch (entry.kind) {
-      case Kind::kInt:
-        entry.int_value = std::stoll(value, &parsed);
+      case Kind::kInt: {
+        const std::int64_t number = std::stoll(value, &parsed);
         if (parsed != value.size()) throw std::invalid_argument("trailing");
+        // Every int flag is a count, a size or a seed.
+        if (number < 0) throw std::invalid_argument("negative");
+        entry.int_value = number;
         break;
+      }
       case Kind::kDouble:
         entry.double_value = std::stod(value, &parsed);
         if (parsed != value.size()) throw std::invalid_argument("trailing");

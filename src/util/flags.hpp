@@ -3,7 +3,9 @@
 // Supports `--name=value`, `--name value`, and boolean `--name` /
 // `--no-name`. Unknown flags are an error (to catch typos in experiment
 // scripts), as are bad and missing values: the binary exits 2 on any of
-// them, 0 after `--help`. Positional arguments are collected in order.
+// them, 0 after `--help`. Int flags are counts, sizes and seeds, so a
+// negative int value is a bad value. Positional arguments are collected
+// in order.
 #pragma once
 
 #include <cstdint>

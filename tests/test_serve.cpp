@@ -11,7 +11,9 @@
 
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/darts.hpp"
@@ -280,6 +282,165 @@ TEST(ServeEngine, CrossJobReuseRequiresSharing) {
   EXPECT_EQ(ablated.serving.cross_job_reuse_bytes, 0u);
   // Same work without sharing must pay for more host-bus loads.
   EXPECT_GT(ablated.metrics.total_loads(), shared.metrics.total_loads());
+}
+
+struct ReuseTally {
+  std::uint64_t fusions = 0;
+  std::uint64_t wiped = 0;
+  std::uint64_t refused_recounts = 0;
+  std::uint64_t reuse_hits = 0;
+  std::uint64_t reuse_bytes = 0;
+};
+
+/// An independent recount of cross-job reuse off the event stream, plus a
+/// tally of the paths the pins below name: fusions, resident data wiped by
+/// a GPU loss, and task starts that read an input reloaded on their GPU
+/// after their job arrived, once the same (job, data, GPU) had already
+/// counted (a recount the arrival-order rule refuses). Loads and arrivals
+/// are ordered by their position in the stream.
+class ReuseAudit final : public sim::Inspector {
+ public:
+  explicit ReuseAudit(const UnionGraph& graph) : union_(graph) {}
+
+  void on_run_begin(const core::TaskGraph& graph,
+                    const core::Platform& platform,
+                    std::string_view /*scheduler_name*/) override {
+    loaded_at_.assign(platform.num_gpus,
+                      std::vector<std::int64_t>(graph.num_data(), -1));
+    arrived_at_.assign(union_.num_jobs, 0);
+  }
+
+  void on_event(const sim::InspectorEvent& event) override {
+    ++position_;
+    switch (event.kind) {
+      case sim::InspectorEventKind::kJobsFused:
+        ++tally.fusions;
+        break;
+      case sim::InspectorEventKind::kJobArrival:
+        arrived_at_[event.id] = position_;
+        break;
+      case sim::InspectorEventKind::kLoadComplete:
+        loaded_at_[event.gpu][event.id] = position_;
+        break;
+      case sim::InspectorEventKind::kEvict:
+        loaded_at_[event.gpu][event.id] = -1;
+        break;
+      case sim::InspectorEventKind::kGpuLost:
+        for (std::int64_t& loaded : loaded_at_[event.gpu]) {
+          if (loaded >= 0) ++tally.wiped;
+          loaded = -1;
+        }
+        break;
+      case sim::InspectorEventKind::kTaskStart: {
+        const std::uint32_t job = union_.task_job[event.id];
+        for (const DataId data : union_.graph.inputs(event.id)) {
+          const std::int64_t loaded = loaded_at_[event.gpu][data];
+          if (loaded < 0) continue;
+          const auto key = std::make_tuple(job, event.gpu, data);
+          if (loaded > arrived_at_[job]) {
+            if (counted_.count(key) != 0) ++tally.refused_recounts;
+            continue;
+          }
+          if (counted_.insert(key).second) {
+            ++tally.reuse_hits;
+            tally.reuse_bytes += union_.graph.data_size(data);
+          }
+        }
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  ReuseTally tally;
+
+ private:
+  const UnionGraph& union_;
+  std::int64_t position_ = 0;
+  std::vector<std::vector<std::int64_t>> loaded_at_;  // [gpu][data], -1 = not
+  std::vector<std::int64_t> arrived_at_;
+  std::set<std::tuple<std::uint32_t, core::GpuId, DataId>> counted_;
+};
+
+struct ReuseRun {
+  ServeResult result;
+  ReuseTally tally;
+};
+
+ReuseRun audited_reuse_run(core::Scheduler& scheduler, const ServeConfig& config,
+                           const std::vector<JobSpec>& jobs,
+                           std::uint64_t memory,
+                           sim::FaultInjector* injector = nullptr) {
+  const std::vector<core::TaskGraph> templates = {make_template()};
+  ServeEngine engine(templates, jobs, test_platform(2, memory), scheduler,
+                     config);
+  if (injector != nullptr) engine.set_fault_injector(injector);
+  sim::InvariantChecker checker({.fail_fast = false});
+  ReuseAudit audit(engine.union_graph());
+  engine.add_inspector(&checker);
+  engine.add_inspector(&audit);
+  ReuseRun run{engine.run(), audit.tally};
+  EXPECT_TRUE(checker.ok()) << checker.report().error << "\n"
+                            << checker.report().excerpt;
+  EXPECT_EQ(run.result.serving.jobs_completed, jobs.size());
+  // The tracker counts exactly what the independent recount counts.
+  EXPECT_EQ(run.result.serving.cross_job_reuse_hits, run.tally.reuse_hits);
+  EXPECT_EQ(run.result.serving.cross_job_reuse_bytes, run.tally.reuse_bytes);
+  return run;
+}
+
+// Exact reuse accounting on three streams, each through the path it names.
+TEST(ServeEngine, CrossJobReusePinPoissonWithFusedJobs) {
+  ServeConfig config;
+  config.arrival.mode = ArrivalMode::kPoisson;
+  config.arrival.rate_jobs_per_s = 1e5;  // saturating: fusable waiters
+  config.arrival.seed = 7;
+  config.admission.max_jobs_in_flight = 2;
+  config.engine.seed = 7;
+  config.slo.enabled = true;
+  config.slo.tiers = slo::TierPolicy{
+      {{.min_priority = 0}, {.min_priority = 2, .admission_weight = 4}}};
+  config.slo.batching = true;
+  config.slo.max_batch = 3;
+  config.slo.marginal_compute = 0.5;
+  std::vector<JobSpec> jobs(30);
+  for (std::uint32_t j = 0; j < jobs.size(); ++j) jobs[j].priority = (j % 2) * 2;
+  sched::DmdaScheduler scheduler;
+  const ReuseRun run = audited_reuse_run(scheduler, config, jobs, 100);
+  EXPECT_GT(run.tally.fusions, 0u);
+  EXPECT_EQ(run.result.serving.cross_job_reuse_hits, 220u);
+  EXPECT_EQ(run.result.serving.cross_job_reuse_bytes, 2200u);
+}
+
+TEST(ServeEngine, CrossJobReusePinClosedLoopWithGpuLoss) {
+  ServeConfig config;
+  config.arrival.mode = ArrivalMode::kClosedLoop;
+  config.arrival.concurrency = 3;
+  sim::FaultPlan plan;
+  plan.gpu_losses.push_back({150.0, 1});
+  sim::FaultInjector injector(plan);
+  core::DartsScheduler scheduler;
+  const ReuseRun run = audited_reuse_run(
+      scheduler, config, std::vector<JobSpec>(30), 100, &injector);
+  EXPECT_EQ(run.result.metrics.faults.gpu_losses, 1u);
+  EXPECT_GT(run.tally.wiped, 0u);
+  EXPECT_EQ(run.result.serving.cross_job_reuse_hits, 120u);
+  EXPECT_EQ(run.result.serving.cross_job_reuse_bytes, 1200u);
+}
+
+TEST(ServeEngine, CrossJobReusePinMemoryTightReloadIsNotRecounted) {
+  ServeConfig config;
+  config.arrival.mode = ArrivalMode::kClosedLoop;
+  config.arrival.concurrency = 2;
+  sched::EagerScheduler scheduler;
+  // 30 bytes per GPU: three of the template's four 10-byte data fit, so
+  // the ring of tasks evicts and reloads inputs while their job runs.
+  const ReuseRun run =
+      audited_reuse_run(scheduler, config, std::vector<JobSpec>(30), 30);
+  EXPECT_GT(run.tally.refused_recounts, 0u);
+  EXPECT_EQ(run.result.serving.cross_job_reuse_hits, 116u);
+  EXPECT_EQ(run.result.serving.cross_job_reuse_bytes, 1160u);
 }
 
 TEST(ServeEngine, DeadlinesScoreAgainstSubmissionTime) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/csv.hpp"
@@ -127,6 +128,27 @@ TEST(Flags, RejectsBadValue) {
   const char* argv[] = {"prog", "--n=abc"};
   EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv)));
   EXPECT_EQ(flags.exit_status(), 2);
+
+  // Int flags are counts, sizes and seeds: a negative value is refused in
+  // both spellings and names the flag; zero is accepted.
+  for (std::vector<const char*> negative :
+       {std::vector<const char*>{"prog", "--n=-3"},
+        std::vector<const char*>{"prog", "--n", "-1"}}) {
+    Flags parser;
+    parser.define_int("n", 1, "");
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(parser.parse(static_cast<int>(negative.size()),
+                              const_cast<char**>(negative.data())));
+    const std::string error = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(parser.exit_status(), 2);
+    EXPECT_NE(error.find("--n"), std::string::npos) << error;
+    EXPECT_EQ(parser.get_int("n"), 1);
+  }
+  Flags zero;
+  zero.define_int("n", 1, "");
+  const char* zero_argv[] = {"prog", "--n=0"};
+  ASSERT_TRUE(zero.parse(2, const_cast<char**>(zero_argv)));
+  EXPECT_EQ(zero.get_int("n"), 0);
 }
 
 TEST(Flags, HelpExitsZeroAndFlagErrorsExitTwo) {
