@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
       "Autoscaling ablation: a Poisson spike absorbed by scale-out vs. "
       "fixed topologies (sheds, deadline misses, drain/join counters)");
   bench::add_standard_flags(flags, /*default_gpus=*/4);
-  flags.define_int("n", 8, "matmul template dimension (N)")
-      .define_int("num-jobs", 80, "jobs in the burst")
+  flags.define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
+      .define_int("num-jobs", 80, "jobs in the burst", /*min_value=*/1)
       .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)")
       .define_double("deadline-ms", 80.0, "per-job latency SLO in ms")
       .define_int("max-in-flight", 4,

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
       "serving x memory pressure (DMDAR)");
   bench::add_standard_flags(flags, /*default_gpus=*/2,
                             /*default_mem_mb=*/150);
-  flags.define_int("n", 6, "matmul template dimension (N)")
-      .define_int("num-jobs", 40, "jobs in the burst")
+  flags.define_int("n", 6, "matmul template dimension (N)", /*min_value=*/1)
+      .define_int("num-jobs", 40, "jobs in the burst", /*min_value=*/1)
       .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)")
       .define_int("max-in-flight", 4,
                   "admission bound on concurrently in-flight jobs (tight, "

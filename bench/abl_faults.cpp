@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       "GPU loss, flaky transfers and capacity shocks, plus a checkpoint x "
       "replication recovery sweep");
   bench::add_standard_flags(flags, /*default_gpus=*/2);
-  flags.define_int("n", 32, "2D matmul dimension (N)");
+  flags.define_int("n", 32, "2D matmul dimension (N)", /*min_value=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

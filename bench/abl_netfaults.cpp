@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
       "Network-fault ablation: hedged remote fetches route around a "
       "partition that parks the no-hedging arm (sheds, timeouts, hedges)");
   bench::add_standard_flags(flags, /*default_gpus=*/6);
-  flags.define_int("n", 8, "matmul template dimension (N)")
-      .define_int("num-jobs", 80, "jobs in the burst")
+  flags.define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
+      .define_int("num-jobs", 80, "jobs in the burst", /*min_value=*/1)
       .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)")
       .define_int("max-in-flight", 4,
                   "admission bound on concurrently in-flight jobs")

@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
       "bench_autoscale: tracked perf baseline — one pinned autoscaled "
       "serving run, emitting events/sec and peak RSS as JSON");
   flags.define_string("out", "BENCH_autoscale.json", "output JSON path")
-      .define_int("jobs", 120, "jobs in the burst")
-      .define_int("n", 8, "matmul template dimension (N)")
-      .define_int("gpus", 8, "GPUs (spread over --nodes)")
+      .define_int("jobs", 120, "jobs in the burst", /*min_value=*/1)
+      .define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
+      .define_int("gpus", 8, "GPUs (spread over --nodes)", /*min_value=*/1)
       .define_int("nodes", 4, "cluster nodes")
       .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
   if (!flags.parse(argc, argv)) return flags.exit_status();

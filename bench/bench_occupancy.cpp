@@ -52,9 +52,9 @@ int main(int argc, char** argv) {
       "bench_occupancy: tracked perf baseline — one pinned GPU-sharing "
       "serving run, emitting events/sec and peak RSS as JSON");
   flags.define_string("out", "BENCH_occupancy.json", "output JSON path")
-      .define_int("jobs", 120, "jobs in the burst")
-      .define_int("n", 8, "matmul template dimension (N)")
-      .define_int("gpus", 4, "GPUs")
+      .define_int("jobs", 120, "jobs in the burst", /*min_value=*/1)
+      .define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
+      .define_int("gpus", 4, "GPUs", /*min_value=*/1)
       .define_double("threshold", 1.0, "sharing admission threshold")
       .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
   if (!flags.parse(argc, argv)) return flags.exit_status();

@@ -55,9 +55,9 @@ int main(int argc, char** argv) {
       "run with batching and eviction protection, emitting events/sec and "
       "peak RSS as JSON");
   flags.define_string("out", "BENCH_serve.json", "output JSON path")
-      .define_int("jobs", 120, "jobs in the burst")
-      .define_int("n", 8, "matmul template dimension (N)")
-      .define_int("gpus", 4, "GPUs")
+      .define_int("jobs", 120, "jobs in the burst", /*min_value=*/1)
+      .define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
+      .define_int("gpus", 4, "GPUs", /*min_value=*/1)
       .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
   if (!flags.parse(argc, argv)) return flags.exit_status();
 

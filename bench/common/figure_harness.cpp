@@ -304,7 +304,7 @@ void RunObserver::flush() {
 
 void add_standard_flags(util::Flags& flags, std::uint32_t default_gpus,
                         std::int64_t default_mem_mb) {
-  flags.define_int("gpus", default_gpus, "number of GPUs (K)")
+  flags.define_int("gpus", default_gpus, "number of GPUs (K)", /*min_value=*/1)
       .define_int("mem-mb", default_mem_mb, "usable GPU memory in MB")
       .define_int("reps", 1, "repetitions averaged per point")
       .define_int("seed", 42, "base RNG seed")

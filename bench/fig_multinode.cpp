@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
       "schedulers: EAGER, DARTS+LUF, mHFP, hier(mHFP), hier(DARTS+LUF), "
       "locality");
   bench::add_standard_flags(flags, /*default_gpus=*/4);
-  flags.define_int("n", 16, "matmul dimension (N^2 tasks, 2N data)")
+  flags.define_int("n", 16, "matmul dimension (N^2 tasks, 2N data)",
+                   /*min_value=*/1)
       .define_string("node-list", "1,2,4",
                      "comma-separated node counts to sweep (each must divide "
                      "into the GPU count with >= 1 GPU per node)")

@@ -14,6 +14,7 @@
 //   ./fig_throughput --arrival=closed-loop --concurrency=6
 //   ./fig_throughput --rates=50 --run-report=serving.json
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +38,7 @@ namespace {
 
 using namespace mg;
 
+// Empty when the list is empty or an entry is not a positive number.
 std::vector<double> parse_rates(const std::string& spec) {
   std::vector<double> rates;
   std::size_t start = 0;
@@ -45,7 +47,17 @@ std::vector<double> parse_rates(const std::string& spec) {
     const std::string token =
         spec.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
-    if (!token.empty()) rates.push_back(std::stod(token));
+    if (!token.empty()) {
+      std::size_t parsed = 0;
+      double rate = 0.0;
+      try {
+        rate = std::stod(token, &parsed);
+      } catch (const std::exception&) {
+        return {};
+      }
+      if (parsed != token.size() || !(rate > 0.0)) return {};
+      rates.push_back(rate);
+    }
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -61,8 +73,8 @@ int main(int argc, char** argv) {
   // 150 MB against a 224 MB template working set: tight enough that the
   // eviction policy decides how much of the cross-job reuse survives.
   bench::add_standard_flags(flags, 2, /*default_mem_mb=*/150);
-  flags.define_int("n", 8, "matmul template dimension (N)")
-      .define_int("num-jobs", 60, "jobs streamed per run")
+  flags.define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
+      .define_int("num-jobs", 60, "jobs streamed per run", /*min_value=*/1)
       .define_string("rates", "25,50,100,200",
                      "comma-separated Poisson arrival rates (jobs/s)")
       .define_string("arrival", "poisson", "poisson | closed-loop")
@@ -107,8 +119,11 @@ int main(int argc, char** argv) {
   }
   const std::vector<double> rates = parse_rates(flags.get_string("rates"));
   if (rates.empty()) {
-    std::fprintf(stderr, "--rates is empty\n");
-    return 1;
+    std::fprintf(stderr,
+                 "bad value for --rates: '%s' (positive jobs/s, "
+                 "comma-separated)\n",
+                 flags.get_string("rates").c_str());
+    return 2;
   }
 
   const double occupancy_threshold = flags.get_double("occupancy-threshold");

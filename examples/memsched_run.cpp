@@ -114,9 +114,9 @@ int main(int argc, char** argv) {
       "            darts+luf+opti, darts+luf-3inputs, darts+luf+opti-3inputs,\n"
       "            darts+luf+incr, locality, hier:<any of the above>");
   flags.define_string("workload", "matmul2d", "workload generator")
-      .define_int("n", 20, "workload dimension (N)")
+      .define_int("n", 20, "workload dimension (N)", /*min_value=*/1)
       .define_string("scheduler", "darts+luf", "scheduling policy")
-      .define_int("gpus", 1, "number of GPUs")
+      .define_int("gpus", 1, "number of GPUs", /*min_value=*/1)
       .define_int("mem-mb", 500, "GPU memory in MB")
       .define_int("seed", 42, "RNG seed")
       .define_double("keep", 0.02, "sparse keep fraction")

@@ -50,9 +50,9 @@ int main(int argc, char** argv) {
       "schedulers: eager, dmdar, mhfp, darts+luf, locality");
   flags.define_string("workload", "matmul2d", "job template: matmul2d, "
                       "cholesky")
-      .define_int("n", 8, "template dimension (N)")
+      .define_int("n", 8, "template dimension (N)", /*min_value=*/1)
       .define_string("scheduler", "darts+luf", "scheduling policy")
-      .define_int("gpus", 2, "number of GPUs")
+      .define_int("gpus", 2, "number of GPUs", /*min_value=*/1)
       .define_int("mem-mb", 500, "GPU memory in MB")
       .define_int("nodes", 1, "cluster nodes the GPUs are spread over")
       .define_double("net-bandwidth", 12.5,
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       .define_string("arrival", "poisson", "poisson | closed-loop")
       .define_double("rate", 100.0, "Poisson arrival rate (jobs/s)")
       .define_int("concurrency", 4, "closed-loop client count")
-      .define_int("jobs", 50, "number of jobs streamed")
+      .define_int("jobs", 50, "number of jobs streamed", /*min_value=*/1)
       .define_double("deadline-us", 0.0,
                      "per-job latency SLO in µs (0 = none)")
       .define_int("max-queue", 0,
@@ -88,6 +88,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --arrival '%s'\n",
                  flags.get_string("arrival").c_str());
     return 1;
+  }
+  if (*arrival == serve::ArrivalMode::kPoisson &&
+      !(flags.get_double("rate") > 0.0)) {
+    std::fprintf(stderr, "bad value for --rate: %g (positive jobs/s)\n",
+                 flags.get_double("rate"));
+    return 2;
   }
   auto scheduler = make_scheduler(flags.get_string("scheduler"));
   if (scheduler == nullptr) {

@@ -152,14 +152,18 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
   // if the partition is unbalanced also seed everything on the heavy side.
   const bool fix_balance = bounds.overweight(bisection.weight) > 0;
   for (VertexId v = 0; v < n; ++v) {
-    gain[v] = bisection.gain(hypergraph, v);
+    // Bisection::gain and the boundary test in one walk of v's nets.
+    const std::uint8_t from = bisection.side[v];
+    std::int64_t g = 0;
     bool boundary = false;
     for (NetId e : hypergraph.nets_of(v)) {
-      if (bisection.pins_in[e][0] > 0 && bisection.pins_in[e][1] > 0) {
-        boundary = true;
-        break;
-      }
+      const auto w = static_cast<std::int64_t>(hypergraph.net_weight(e));
+      const auto& counts = bisection.pins_in[e];
+      if (counts[from] == 1) g += w;
+      if (counts[1 - from] == 0) g -= w;
+      if (counts[0] > 0 && counts[1] > 0) boundary = true;
     }
+    gain[v] = g;
     const bool heavy_side =
         fix_balance &&
         bisection.weight[bisection.side[v]] >
@@ -270,6 +274,7 @@ std::vector<std::uint8_t> grow_initial(const Hypergraph& hypergraph,
   const std::uint32_t n = hypergraph.num_vertices();
   std::vector<std::uint8_t> side(n, 1);
   std::vector<std::uint8_t> visited(n, 0);
+  std::vector<std::uint8_t> walked(hypergraph.num_nets(), 0);
   std::uint64_t weight0 = 0;
 
   std::deque<VertexId> frontier;
@@ -300,6 +305,10 @@ std::vector<std::uint8_t> grow_initial(const Hypergraph& hypergraph,
     side[v] = 0;
     weight0 += hypergraph.vertex_weight(v);
     for (NetId e : hypergraph.nets_of(v)) {
+      // The first walk of a net marks every pin visited; later ones add
+      // nothing.
+      if (walked[e] != 0) continue;
+      walked[e] = 1;
       for (VertexId u : hypergraph.pins(e)) {
         if (!visited[u]) {
           visited[u] = 1;
@@ -336,19 +345,50 @@ CoarseLevel coarsen(const Hypergraph& fine, util::Rng& rng) {
   // matching cost; skip them during matching (hMETIS does the same).
   constexpr std::size_t kMaxNetForMatching = 512;
 
+  // Net e's pins still unmatched at its last walk, in pin order, are
+  // live[live_begin[e], live_begin[e] + live_size[e]). A walk drops the pins
+  // matched since: every walk skips matched pins, so dropping them keeps the
+  // order in which the others are scored.
+  std::vector<std::uint32_t> live_begin(fine.num_nets());
+  std::vector<std::uint32_t> live_size(fine.num_nets());
+  std::vector<VertexId> live;
+  live.reserve(fine.num_pins());
+  for (NetId e = 0; e < fine.num_nets(); ++e) {
+    const auto pins = fine.pins(e);
+    live_begin[e] = static_cast<std::uint32_t>(live.size());
+    live_size[e] = static_cast<std::uint32_t>(pins.size());
+    live.insert(live.end(), pins.begin(), pins.end());
+  }
+
   for (VertexId u : order) {
     if (match[u] != kUnmatched) continue;
     touched.clear();
     for (NetId e : fine.nets_of(u)) {
-      const auto pins = fine.pins(e);
-      if (pins.size() < 2 || pins.size() > kMaxNetForMatching) continue;
+      const std::size_t size = fine.pins(e).size();
+      if (size < 2 || size > kMaxNetForMatching) continue;
       const double contribution = static_cast<double>(fine.net_weight(e)) /
-                                  static_cast<double>(pins.size() - 1);
-      for (VertexId v : pins) {
-        if (v == u || match[v] != kUnmatched) continue;
+                                  static_cast<double>(size - 1);
+      VertexId* const first = live.data() + live_begin[e];
+      VertexId* kept = first;
+      for (const VertexId* it = first; it != first + live_size[e]; ++it) {
+        const VertexId v = *it;
+        if (match[v] != kUnmatched) continue;
+        *kept++ = v;
+        if (v == u) continue;
         if (score[v] == 0.0) touched.push_back(v);
         score[v] += contribution;
       }
+      live_size[e] = static_cast<std::uint32_t>(kept - first);
+#ifndef NDEBUG
+      // The live list is exactly the net's unmatched pins, in pin order.
+      const VertexId* expected = first;
+      for (VertexId v : fine.pins(e)) {
+        if (match[v] != kUnmatched) continue;
+        MG_DCHECK(expected != kept && *expected == v);
+        ++expected;
+      }
+      MG_DCHECK(expected == kept);
+#endif
     }
     VertexId best = kUnmatched;
     double best_score = 0.0;
@@ -380,16 +420,22 @@ CoarseLevel coarsen(const Hypergraph& fine, util::Rng& rng) {
     coarse_weights[fine_to_coarse[v]] += fine.vertex_weight(v);
   }
 
-  // Coarse nets: project pins, dedupe, drop single-pin nets.
+  // Coarse nets: project pins, dedupe (stamp[c] is the last net that took
+  // coarse vertex c), sort, drop single-pin nets.
   std::vector<std::vector<VertexId>> coarse_pins;
   std::vector<std::uint64_t> coarse_net_weights;
   std::vector<VertexId> scratch;
+  std::vector<NetId> stamp(coarse_n, kUnmatched);
   for (NetId e = 0; e < fine.num_nets(); ++e) {
     scratch.clear();
-    for (VertexId v : fine.pins(e)) scratch.push_back(fine_to_coarse[v]);
-    std::sort(scratch.begin(), scratch.end());
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+    for (VertexId v : fine.pins(e)) {
+      const std::uint32_t c = fine_to_coarse[v];
+      if (stamp[c] == e) continue;
+      stamp[c] = e;
+      scratch.push_back(c);
+    }
     if (scratch.size() < 2) continue;
+    std::sort(scratch.begin(), scratch.end());
     coarse_pins.push_back(scratch);
     coarse_net_weights.push_back(fine.net_weight(e));
   }

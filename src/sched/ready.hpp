@@ -16,15 +16,49 @@
 #include "core/ids.hpp"
 #include "core/memory_view.hpp"
 #include "core/task_graph.hpp"
+#include "util/check.hpp"
 
 namespace mg::sched {
 
 inline constexpr std::size_t kDefaultReadyWindow =
     std::numeric_limits<std::size_t>::max();
 
+namespace detail {
+
+/// The plain scan `pop_ready` must agree with: prices every inspected task in
+/// full and returns the chosen index, or queue.size() when none is eligible.
+/// Kept as the Debug audit of the pruned scan.
+inline std::size_t ready_index_by_full_scan(
+    const std::deque<core::TaskId>& queue, const core::TaskGraph& graph,
+    const core::MemoryView& memory, std::size_t window,
+    const std::vector<std::uint8_t>* enabled) {
+  std::size_t best_index = queue.size();
+  std::uint64_t best_missing = ~std::uint64_t{0};
+  std::size_t inspected = 0;
+  for (std::size_t i = 0; i < queue.size() && inspected < window; ++i) {
+    if (enabled != nullptr && (*enabled)[queue[i]] == 0) continue;
+    ++inspected;
+    std::uint64_t missing = 0;
+    for (core::DataId data : graph.inputs(queue[i])) {
+      if (!memory.is_present_or_fetching(data)) {
+        missing += graph.data_size(data);
+      }
+    }
+    if (missing < best_missing) {
+      best_missing = missing;
+      best_index = i;
+      if (missing == 0) break;
+    }
+  }
+  return best_index;
+}
+
+}  // namespace detail
+
 /// Removes and returns the task among the first `window` entries of `queue`
 /// requiring the fewest missing input bytes (ties: earliest in queue).
-/// Returns kInvalidTask when the queue is empty.
+/// Returns kInvalidTask when the queue is empty. The other entries keep
+/// their order.
 ///
 /// On a dependency-gated run, `enabled` (indexed by TaskId) restricts the
 /// choice to tasks whose predecessors all retired. The window then bounds
@@ -39,26 +73,32 @@ inline core::TaskId pop_ready(std::deque<core::TaskId>& queue,
                               std::size_t window = kDefaultReadyWindow,
                               const std::vector<std::uint8_t>* enabled =
                                   nullptr) {
-  if (queue.empty()) return core::kInvalidTask;
-  std::size_t best_index = queue.size();
+  auto best = queue.end();
   std::uint64_t best_missing = ~std::uint64_t{0};
   std::size_t inspected = 0;
-  for (std::size_t i = 0; i < queue.size() && inspected < window; ++i) {
-    if (enabled != nullptr && (*enabled)[queue[i]] == 0) continue;
+  for (auto it = queue.begin(); it != queue.end() && inspected < window;
+       ++it) {
+    if (enabled != nullptr && (*enabled)[*it] == 0) continue;
     ++inspected;
+    // Pricing stops once the task cannot win: a tie keeps the earlier task.
     std::uint64_t missing = 0;
-    for (core::DataId data : graph.inputs(queue[i])) {
-      if (!memory.is_present_or_fetching(data)) missing += graph.data_size(data);
+    for (core::DataId data : graph.inputs(*it)) {
+      if (memory.is_present_or_fetching(data)) continue;
+      missing += graph.data_size(data);
+      if (missing >= best_missing) break;
     }
     if (missing < best_missing) {
       best_missing = missing;
-      best_index = i;
+      best = it;
       if (missing == 0) break;  // cannot do better than zero transfers
     }
   }
-  if (best_index == queue.size()) return core::kInvalidTask;
-  const core::TaskId task = queue[best_index];
-  queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(best_index));
+  MG_DCHECK(static_cast<std::size_t>(best - queue.begin()) ==
+            detail::ready_index_by_full_scan(queue, graph, memory, window,
+                                             enabled));
+  if (best == queue.end()) return core::kInvalidTask;
+  const core::TaskId task = *best;
+  queue.erase(best);
   return task;
 }
 

@@ -12,9 +12,10 @@ Flags::Flags(std::string program_description)
     : description_(std::move(program_description)) {}
 
 Flags& Flags::define_int(const std::string& name, std::int64_t default_value,
-                         const std::string& help) {
-  Entry entry{Kind::kInt, help, 0, 0.0, false, {}};
+                         const std::string& help, std::int64_t min_value) {
+  Entry entry{Kind::kInt, help, 0, 0, 0.0, false, {}};
   entry.int_value = default_value;
+  entry.int_min = min_value;
   MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
                "duplicate flag definition");
   return *this;
@@ -22,7 +23,7 @@ Flags& Flags::define_int(const std::string& name, std::int64_t default_value,
 
 Flags& Flags::define_double(const std::string& name, double default_value,
                             const std::string& help) {
-  Entry entry{Kind::kDouble, help, 0, 0.0, false, {}};
+  Entry entry{Kind::kDouble, help, 0, 0, 0.0, false, {}};
   entry.double_value = default_value;
   MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
                "duplicate flag definition");
@@ -31,7 +32,7 @@ Flags& Flags::define_double(const std::string& name, double default_value,
 
 Flags& Flags::define_bool(const std::string& name, bool default_value,
                           const std::string& help) {
-  Entry entry{Kind::kBool, help, 0, 0.0, false, {}};
+  Entry entry{Kind::kBool, help, 0, 0, 0.0, false, {}};
   entry.bool_value = default_value;
   MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
                "duplicate flag definition");
@@ -41,7 +42,7 @@ Flags& Flags::define_bool(const std::string& name, bool default_value,
 Flags& Flags::define_string(const std::string& name,
                             const std::string& default_value,
                             const std::string& help) {
-  Entry entry{Kind::kString, help, 0, 0.0, false, {}};
+  Entry entry{Kind::kString, help, 0, 0, 0.0, false, {}};
   entry.string_value = default_value;
   MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
                "duplicate flag definition");
@@ -116,7 +117,12 @@ bool Flags::assign(const std::string& name, const std::string& value) {
         const std::int64_t number = std::stoll(value, &parsed);
         if (parsed != value.size()) throw std::invalid_argument("trailing");
         // Every int flag is a count, a size or a seed.
-        if (number < 0) throw std::invalid_argument("negative");
+        if (number < entry.int_min) {
+          std::fprintf(stderr, "bad value for --%s: '%s' (at least %lld)\n",
+                       name.c_str(), value.c_str(),
+                       static_cast<long long>(entry.int_min));
+          return false;
+        }
         entry.int_value = number;
         break;
       }

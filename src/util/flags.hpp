@@ -4,8 +4,8 @@
 // `--no-name`. Unknown flags are an error (to catch typos in experiment
 // scripts), as are bad and missing values: the binary exits 2 on any of
 // them, 0 after `--help`. Int flags are counts, sizes and seeds, so a
-// negative int value is a bad value. Positional arguments are collected
-// in order.
+// value below the flag's minimum (0 unless defined otherwise) is a bad
+// value. Positional arguments are collected in order.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,10 @@ class Flags {
   Flags(std::string program_description = "");
 
   // Registration. `help` is printed by --help. Returns *this for chaining.
+  // An int flag rejects values below `min_value`: 1 for a count that must
+  // not be zero.
   Flags& define_int(const std::string& name, std::int64_t default_value,
-                    const std::string& help);
+                    const std::string& help, std::int64_t min_value = 0);
   Flags& define_double(const std::string& name, double default_value,
                        const std::string& help);
   Flags& define_bool(const std::string& name, bool default_value,
@@ -55,6 +57,7 @@ class Flags {
     Kind kind;
     std::string help;
     std::int64_t int_value = 0;
+    std::int64_t int_min = 0;
     double double_value = 0.0;
     bool bool_value = false;
     std::string string_value;

@@ -1,17 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/task_graph.hpp"
+#include "decision_pin.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager.hpp"
+#include "sched/hfp.hpp"
 #include "sched/hmetis_r.hpp"
 #include "sched/ready.hpp"
 #include "sched/work_queue_scheduler.hpp"
+#include "serve/serve_engine.hpp"
 #include "sim/engine.hpp"
-#include "workloads/matmul2d.hpp"
+#include "sim/invariant_checker.hpp"
+#include "sim/run_report.hpp"
+#include "util/rng.hpp"
+#include "workloads/workloads.hpp"
 
 namespace mg::sched {
 namespace {
@@ -100,6 +109,100 @@ TEST(Ready, EmptyQueueReturnsInvalid) {
   StubMemory memory;
   std::deque<TaskId> queue;
   EXPECT_EQ(pop_ready(queue, graph, memory), core::kInvalidTask);
+}
+
+/// Brute-force Ready choice: prices the first `window` eligible entries,
+/// then takes the first minimum of missing bytes. queue.size() when no
+/// entry is eligible.
+std::size_t reference_ready_index(const std::deque<TaskId>& queue,
+                                  const core::TaskGraph& graph,
+                                  const std::set<DataId>& present,
+                                  std::size_t window,
+                                  const std::vector<std::uint8_t>* enabled) {
+  std::vector<std::pair<std::uint64_t, std::size_t>> priced;
+  for (std::size_t i = 0; i < queue.size() && priced.size() < window; ++i) {
+    if (enabled != nullptr && (*enabled)[queue[i]] == 0) continue;
+    std::uint64_t missing = 0;
+    for (DataId data : graph.inputs(queue[i])) {
+      if (!present.contains(data)) missing += graph.data_size(data);
+    }
+    priced.emplace_back(missing, i);
+  }
+  if (priced.empty()) return queue.size();
+  return std::min_element(priced.begin(), priced.end())->second;
+}
+
+TEST(Ready, MatchesBruteForceOnRandomQueues) {
+  // The builder rejects zero-size data and input-less tasks, so a task
+  // prices at zero only when every input is resident; residency is drawn
+  // dense enough that this happens often.
+  const std::uint64_t kSizes[] = {1, 7, 10, 1000, 14'000'000, 1ULL << 40};
+  util::Rng rng(2022);
+  std::size_t free_picks = 0;
+  std::size_t priced_picks = 0;
+  for (int round = 0; round < 400; ++round) {
+    core::TaskGraphBuilder builder;
+    const auto num_data = static_cast<std::uint32_t>(1 + rng.below(10));
+    for (std::uint32_t d = 0; d < num_data; ++d) {
+      // Half the graphs draw equal sizes, so ties are common.
+      builder.add_data(round % 2 == 0 ? 10 : kSizes[rng.below(6)]);
+    }
+    const auto num_tasks = static_cast<std::uint32_t>(1 + rng.below(40));
+    for (std::uint32_t t = 0; t < num_tasks; ++t) {
+      std::vector<DataId> inputs(num_data);
+      for (DataId d = 0; d < num_data; ++d) inputs[d] = d;
+      rng.shuffle(inputs);
+      inputs.resize(1 + rng.below(std::min<std::uint32_t>(num_data, 4)));
+      builder.add_task(1.0, inputs);
+    }
+    const core::TaskGraph graph = builder.build();
+
+    std::deque<TaskId> queue;
+    for (TaskId t = 0; t < num_tasks; ++t) {
+      if (rng.below(4) != 0) queue.push_back(t);
+    }
+    std::vector<TaskId> order(queue.begin(), queue.end());
+    rng.shuffle(order);
+    queue.assign(order.begin(), order.end());
+
+    const std::size_t kWindows[] = {1, 2, 3, 8, kDefaultReadyWindow};
+    const std::size_t window = kWindows[rng.below(5)];
+    std::vector<std::uint8_t> mask(num_tasks, 1);
+    const bool masked = rng.below(2) == 0;
+
+    while (true) {
+      std::set<DataId> present;
+      const std::uint64_t density = rng.below(5);  // of 4
+      for (DataId d = 0; d < num_data; ++d) {
+        if (rng.below(4) < density) present.insert(d);
+      }
+      if (masked) {
+        for (auto& bit : mask) bit = rng.below(3) != 0 ? 1 : 0;
+      }
+      const std::vector<std::uint8_t>* enabled = masked ? &mask : nullptr;
+      const std::size_t expected_index =
+          reference_ready_index(queue, graph, present, window, enabled);
+      std::deque<TaskId> expected_rest = queue;
+      TaskId expected = core::kInvalidTask;
+      if (expected_index < queue.size()) {
+        expected = queue[expected_index];
+        expected_rest.erase(expected_rest.begin() +
+                            static_cast<std::ptrdiff_t>(expected_index));
+      }
+      StubMemory memory(present);
+      ASSERT_EQ(pop_ready(queue, graph, memory, window, enabled), expected)
+          << "round " << round;
+      ASSERT_EQ(queue, expected_rest) << "round " << round;
+      if (expected == core::kInvalidTask) break;
+      const bool all_present = std::all_of(
+          graph.inputs(expected).begin(), graph.inputs(expected).end(),
+          [&present](DataId data) { return present.contains(data); });
+      ++(all_present ? free_picks : priced_picks);
+    }
+  }
+  // Both outcomes occur: a task missing nothing, and one priced above zero.
+  EXPECT_GT(free_picks, 0u);
+  EXPECT_GT(priced_picks, 0u);
 }
 
 TEST(Dmda, BalancesIndependentTasksAcrossGpus) {
@@ -298,6 +401,142 @@ TEST(WorkQueue, AllZeroPrioritiesKeepFifoOrder) {
     EXPECT_EQ(scheduler.pop_task(0, memory), want);
   }
 }
+
+// --- Decision pins ----------------------------------------------------------
+//
+// Whole runs of the schedulers that pop through `pop_ready` (hMETIS+R, mHFP,
+// DMDAR), with their trace, load and eviction counts and makespan pinned to
+// constants: a change in which queued task a Ready pop picks moves at least
+// one of them. Scheduler cost accounting stays off (the engine default), so
+// no measured wall time reaches the makespan.
+
+using test::Pin;
+using test::pin_of;
+
+Pin run_batch(const core::TaskGraph& graph, core::Scheduler& scheduler,
+              std::uint32_t gpus, std::uint64_t memory_mb) {
+  sim::RuntimeEngine engine(
+      graph, core::make_v100_platform(gpus, memory_mb * core::kMB), scheduler,
+      {.seed = 7});
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_GT(metrics.total_evictions(), 0u);  // memory-constrained
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  return pin_of(recorder.trace(), metrics);
+}
+
+Pin run_hmetis_stealing() {
+  HmetisScheduler hmetis;
+  const Pin pin = run_batch(work::make_matmul_2d({.n = 30}), hmetis, 4, 100);
+  EXPECT_GT(hmetis.steal_events(), 0u);
+  return pin;
+}
+
+Pin run_mhfp() {
+  HfpScheduler mhfp;
+  return run_batch(work::make_matmul_2d({.n = 30}), mhfp, 2, 150);
+}
+
+Pin run_dmdar() {
+  DmdaScheduler dmdar;
+  return run_batch(work::make_random_bipartite({.num_tasks = 600,
+                                                .num_data = 150,
+                                                .min_inputs = 1,
+                                                .max_inputs = 3,
+                                                .seed = 5}),
+                   dmdar, 2, 150);
+}
+
+Pin run_dmdar_window() {
+  // abl_ready_window's scheduler: Ready over the first 8 queued tasks.
+  DmdaScheduler dmdar(/*ready=*/true, /*ready_window=*/8);
+  return run_batch(work::make_matmul_2d({.n = 30}), dmdar, 2, 100);
+}
+
+Pin run_hmetis_cholesky_dag() {
+  // Dependency-gated pops: Ready chooses among the enabled tasks only.
+  HmetisScheduler hmetis;
+  return run_batch(
+      work::make_cholesky_tasks({.n = 12, .with_dependencies = true}), hmetis,
+      4, 100);
+}
+
+Pin run_mhfp_tiered_stream() {
+  // Closed-loop arrivals in two priorities: each pop first promotes the
+  // queue's top-priority run, and Ready picks within it.
+  const std::vector<core::TaskGraph> templates = {
+      work::make_matmul_2d({.n = 5}), work::make_matmul_2d({.n = 6})};
+  std::vector<serve::JobSpec> jobs(24);
+  for (std::uint32_t job = 0; job < jobs.size(); ++job) {
+    jobs[job].graph = job % 2;
+    jobs[job].priority = (job / 2) % 2;
+  }
+  serve::ServeConfig config;
+  config.arrival.mode = serve::ArrivalMode::kClosedLoop;
+  config.arrival.concurrency = 4;
+  config.engine.seed = 7;
+  HfpScheduler mhfp;
+  serve::ServeEngine engine(templates, jobs,
+                            core::make_v100_platform(2, 100 * core::kMB),
+                            mhfp, config);
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
+  const serve::ServeResult result = engine.run();
+  EXPECT_EQ(result.serving.jobs_completed, jobs.size());
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  return pin_of(recorder.trace(), result.metrics);
+}
+
+struct PinCase {
+  const char* name;
+  Pin (*run)();
+  Pin expected;
+};
+
+// Reference values: pricing every inspected task in full gives these runs.
+const PinCase kPinCases[] = {
+    {"HmetisMatmul2dStealing", run_hmetis_stealing,
+     {0x589f032c8640251dULL, 849, 821, 756117.0550064136}},
+    {"Mhfp", run_mhfp,
+     {0xfb41410c728c21ecULL, 371, 351, 348657.08594280656}},
+    {"Dmdar", run_dmdar,
+     {0x77b176cdccd412eaULL, 753, 733, 671928.77008979092}},
+    {"DmdarWindow8", run_dmdar_window,
+     {0x0eda3d877904029eULL, 960, 946, 854907.0550064136}},
+    {"HmetisCholeskyDag", run_hmetis_cholesky_dag,
+     {0x6f998e6677355550ULL, 266, 158, 66965.719354108733}},
+    {"MhfpTieredStream", run_mhfp_tiered_stream,
+     {0xa8be1c40dbed1da9ULL, 456, 442, 428781.58530144137}},
+};
+
+// gtest prints the parameter into each test's listed name; print the case
+// name so that name does not carry the address of the name string.
+void PrintTo(const PinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
+
+class WorkQueueDecisionPin : public testing::TestWithParam<PinCase> {};
+
+TEST_P(WorkQueueDecisionPin, RunRepeatsExactly) {
+  const PinCase& pin_case = GetParam();
+  const Pin actual = pin_case.run();
+  EXPECT_EQ(actual.trace_hash, pin_case.expected.trace_hash)
+      << "actual 0x" << std::hex << actual.trace_hash;
+  EXPECT_EQ(actual.loads, pin_case.expected.loads);
+  EXPECT_EQ(actual.evictions, pin_case.expected.evictions);
+  EXPECT_DOUBLE_EQ(actual.makespan_us, pin_case.expected.makespan_us);
+}
+
+INSTANTIATE_TEST_SUITE_P(Runs, WorkQueueDecisionPin,
+                         testing::ValuesIn(kPinCases),
+                         [](const testing::TestParamInfo<PinCase>& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace mg::sched

@@ -149,6 +149,25 @@ TEST(Flags, RejectsBadValue) {
   const char* zero_argv[] = {"prog", "--n=0"};
   ASSERT_TRUE(zero.parse(2, const_cast<char**>(zero_argv)));
   EXPECT_EQ(zero.get_int("n"), 0);
+
+  // A count defined with minimum 1 refuses zero, naming the flag and the
+  // bound; 1 is accepted.
+  Flags count;
+  count.define_int("jobs", 5, "", /*min_value=*/1);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(count.parse(2, const_cast<char**>(
+                                  std::vector<const char*>{"prog", "--jobs=0"}
+                                      .data())));
+  const std::string error = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(count.exit_status(), 2);
+  EXPECT_NE(error.find("--jobs"), std::string::npos) << error;
+  EXPECT_NE(error.find("at least 1"), std::string::npos) << error;
+  EXPECT_EQ(count.get_int("jobs"), 5);
+  Flags one;
+  one.define_int("jobs", 5, "", /*min_value=*/1);
+  const char* one_argv[] = {"prog", "--jobs=1"};
+  ASSERT_TRUE(one.parse(2, const_cast<char**>(one_argv)));
+  EXPECT_EQ(one.get_int("jobs"), 1);
 }
 
 TEST(Flags, HelpExitsZeroAndFlagErrorsExitTwo) {
