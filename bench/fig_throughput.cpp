@@ -138,6 +138,11 @@ int main(int argc, char** argv) {
   templates.push_back(work::make_matmul_2d(
       {.n = static_cast<std::uint32_t>(flags.get_int("n")),
        .derive_warps = occupancy_threshold > 0.0}));
+  if (!sim::mem_mb_holds_every_task(flags.get_int("mem-mb"),
+                                    config.platform.gpu_memory_bytes,
+                                    templates)) {
+    return 2;
+  }
   const std::uint32_t num_jobs =
       static_cast<std::uint32_t>(flags.get_int("num-jobs"));
   const std::uint32_t num_tiers =

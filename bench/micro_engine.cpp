@@ -2,15 +2,19 @@
 // wall second) and per-scheduler decision cost, via full engine runs; the
 // set-up cost of the Cholesky N=100 tile DAG (cholesky_dag's graph),
 // where building the dependency edges weighs as much as simulating it;
-// and the event queue alone, one schedule plus one run per iteration.
+// the set-up cost of serve_cluster's union graph (BM_BuildUnionGraph,
+// 20,000 jobs of the N=8 matmul template); and the event queue alone, one
+// schedule plus one run per iteration.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/darts.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager.hpp"
+#include "serve/union_graph.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "util/rng.hpp"
@@ -79,6 +83,32 @@ void BM_BuildCholeskyDag(benchmark::State& state) {
   state.counters["dep_edges"] = static_cast<double>(dep_edges);
 }
 BENCHMARK(BM_BuildCholeskyDag)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// Builds serve_cluster's union graph: 20,000 jobs of the N=8 matmul template
+// sharing its 16 data, 1.28M tasks reading 2.56M inputs.
+void BM_BuildUnionGraph(benchmark::State& state) {
+  const std::vector<core::TaskGraph> templates = {
+      work::make_matmul_2d({.n = 8})};
+  std::vector<serve::JobSpec> jobs(20000);
+  for (std::uint32_t job = 0; job < jobs.size(); ++job) {
+    jobs[job].priority = job % 2;
+  }
+  std::uint32_t tasks = 0;
+  for (auto _ : state) {
+    const serve::UnionGraph union_graph =
+        serve::build_union_graph(templates, jobs);
+    tasks = union_graph.graph.num_tasks();
+    benchmark::DoNotOptimize(tasks);
+  }
+  std::uint64_t template_inputs = 0;
+  for (core::TaskId task = 0; task < templates[0].num_tasks(); ++task) {
+    template_inputs += templates[0].inputs(task).size();
+  }
+  state.counters["tasks"] = static_cast<double>(tasks);
+  state.counters["inputs"] =
+      static_cast<double>(template_inputs * jobs.size());
+}
+BENCHMARK(BM_BuildUnionGraph)->Unit(benchmark::kMillisecond);
 
 // Schedules one event and runs the earliest per iteration, with the arg's
 // count of events standing in the queue (64: a small engine; 20,000: a

@@ -10,6 +10,7 @@
 //   ./memsched_run --workload=sparse --n=200 --scheduler=dmdar --nvlink
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "analysis/offline_model.hpp"
@@ -191,6 +192,12 @@ int main(int argc, char** argv) {
     }
     platform.num_gpus = static_cast<std::uint32_t>(speeds.size());
     platform.gpu_gflops_per_device = std::move(speeds);
+  }
+
+  if (!sim::mem_mb_holds_every_task(
+          flags.get_int("mem-mb"), platform.gpu_memory_bytes,
+          std::span<const core::TaskGraph>(&graph, 1))) {
+    return 2;
   }
 
   std::unique_ptr<core::Scheduler> scheduler;

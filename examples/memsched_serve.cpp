@@ -127,6 +127,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--nodes must be in 1..%u\n", platform.num_gpus);
     return 1;
   }
+  if (!sim::mem_mb_holds_every_task(flags.get_int("mem-mb"),
+                                    platform.gpu_memory_bytes, templates)) {
+    return 2;
+  }
 
   std::vector<serve::JobSpec> jobs(
       static_cast<std::size_t>(flags.get_int("jobs")));

@@ -203,7 +203,7 @@ void HierarchicalScheduler::prepare(const core::TaskGraph& graph,
       }
       node->local_to_global_task.push_back(task);
     }
-    node->graph = builder.build();
+    node->graph = std::move(builder).build();
     node->unpopped = node->local_to_global_task.size();
 
     // The inner scheduler sees a plain single-node machine: its node's GPU

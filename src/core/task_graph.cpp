@@ -22,6 +22,32 @@ std::vector<std::uint32_t> bucket_offsets(std::uint32_t num_buckets,
 }
 
 constexpr auto kIdentity = [](std::uint32_t id) { return id; };
+
+/// Appends item `index`'s value to an optional per-item array, which stays
+/// empty until the first non-default value; the items before that one then
+/// read T{}. An unlabeled item thus constructs no string.
+template <typename T, typename Value>
+void append_optional(std::vector<T>& values, std::size_t index, Value value) {
+  if (values.empty() && value == Value{}) return;
+  values.resize(index);  // a no-op once the array is kept
+  values.emplace_back(value);
+}
+
+/// Sets item `index` (of `count` items) in an optional per-item array.
+template <typename T>
+void set_optional(std::vector<T>& values, std::size_t count, std::size_t index,
+                  T value) {
+  if (values.empty() && value == T{}) return;
+  values.resize(count);  // a no-op once the array is kept
+  values[index] = value;
+}
+
+/// True if any entry is non-zero.
+template <typename T>
+bool any_nonzero(const std::vector<T>& values) {
+  return std::any_of(values.begin(), values.end(),
+                     [](T value) { return value != T{}; });
+}
 }  // namespace
 
 std::uint64_t TaskGraph::input_bytes(TaskId task) const {
@@ -48,15 +74,23 @@ const std::string& TaskGraph::data_label(DataId data) const {
   return data_labels_[data];
 }
 
-DataId TaskGraphBuilder::add_data(std::uint64_t size_bytes, std::string label) {
+void TaskGraphBuilder::reserve(std::size_t tasks, std::size_t inputs) {
+  task_offsets_.reserve(tasks + 1);
+  task_flops_.reserve(tasks);
+  task_inputs_.reserve(inputs);
+}
+
+DataId TaskGraphBuilder::add_data(std::uint64_t size_bytes,
+                                  std::string_view label) {
   MG_CHECK_MSG(size_bytes > 0, "data must have non-zero size");
+  const auto id = static_cast<DataId>(data_sizes_.size());
   data_sizes_.push_back(size_bytes);
-  data_labels_.push_back(std::move(label));
-  return static_cast<DataId>(data_sizes_.size() - 1);
+  append_optional(data_labels_, id, label);
+  return id;
 }
 
 TaskId TaskGraphBuilder::add_task(double flops, std::span<const DataId> inputs,
-                                  std::string label) {
+                                  std::string_view label) {
   MG_CHECK_MSG(flops > 0.0, "task must have positive flops");
   MG_CHECK_MSG(!inputs.empty(), "task must read at least one data");
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -65,23 +99,24 @@ TaskId TaskGraphBuilder::add_task(double flops, std::span<const DataId> inputs,
       MG_CHECK_MSG(inputs[i] != inputs[j], "duplicate input data in task");
     }
   }
+  const auto id = static_cast<TaskId>(task_flops_.size());
   task_inputs_.insert(task_inputs_.end(), inputs.begin(), inputs.end());
   task_offsets_.push_back(static_cast<std::uint32_t>(task_inputs_.size()));
   task_flops_.push_back(flops);
-  task_outputs_.push_back(0);
-  task_warps_.push_back(0);
-  task_labels_.push_back(std::move(label));
-  return static_cast<TaskId>(task_flops_.size() - 1);
+  append_optional(task_outputs_, id, std::uint64_t{0});
+  append_optional(task_warps_, id, std::uint32_t{0});
+  append_optional(task_labels_, id, label);
+  return id;
 }
 
 void TaskGraphBuilder::set_task_output(TaskId task, std::uint64_t bytes) {
   MG_CHECK_MSG(task < task_flops_.size(), "unknown task");
-  task_outputs_[task] = bytes;
+  set_optional(task_outputs_, task_flops_.size(), task, bytes);
 }
 
 void TaskGraphBuilder::set_task_warps(TaskId task, std::uint32_t warps) {
   MG_CHECK_MSG(task < task_flops_.size(), "unknown task");
-  task_warps_[task] = warps;
+  set_optional(task_warps_, task_flops_.size(), task, warps);
 }
 
 void TaskGraphBuilder::add_dependency(TaskId pred, TaskId succ) {
@@ -105,60 +140,52 @@ void TaskGraphBuilder::set_task_writes(TaskId task, DataId data) {
 
 TaskId TaskGraphBuilder::add_task(double flops,
                                   std::initializer_list<DataId> inputs,
-                                  std::string label) {
+                                  std::string_view label) {
   return add_task(flops, std::span<const DataId>(inputs.begin(), inputs.size()),
-                  std::move(label));
+                  label);
 }
 
-TaskGraph TaskGraphBuilder::build() const {
-  TaskGraph graph;
-  graph.task_offsets_ = task_offsets_;
-  graph.task_inputs_ = task_inputs_;
-  graph.data_sizes_ = data_sizes_;
-  graph.task_flops_ = task_flops_;
-  // Store outputs only when some task declares them (keeps has_outputs()
-  // cheap and the common no-output case lean).
-  if (std::any_of(task_outputs_.begin(), task_outputs_.end(),
-                  [](std::uint64_t bytes) { return bytes > 0; })) {
-    graph.task_outputs_ = task_outputs_;
-  }
-  // Same treatment for warp footprints: stored only when some task declares
-  // one, so exclusive-model graphs carry no occupancy state at all.
-  if (std::any_of(task_warps_.begin(), task_warps_.end(),
-                  [](std::uint32_t warps) { return warps > 0; })) {
-    graph.task_warps_ = task_warps_;
-  }
+TaskGraph TaskGraphBuilder::build() const& {
+  return TaskGraphBuilder(*this).build();
+}
 
-  // Drop labels entirely when none were provided, to keep big graphs lean.
-  const bool any_task_label = std::any_of(
-      task_labels_.begin(), task_labels_.end(),
-      [](const std::string& label) { return !label.empty(); });
-  const bool any_data_label = std::any_of(
-      data_labels_.begin(), data_labels_.end(),
-      [](const std::string& label) { return !label.empty(); });
-  if (any_task_label) graph.task_labels_ = task_labels_;
-  if (any_data_label) graph.data_labels_ = data_labels_;
+TaskGraph TaskGraphBuilder::build() && {
+  TaskGraph graph;
+  graph.task_offsets_ = std::move(task_offsets_);
+  graph.task_inputs_ = std::move(task_inputs_);
+  graph.data_sizes_ = std::move(data_sizes_);
+  graph.task_flops_ = std::move(task_flops_);
+  // Outputs and warp footprints are stored only when some task declares
+  // one (keeps has_outputs()/has_warps() cheap and the common graphs lean).
+  // The builder keeps an array from its first non-zero value, which a later
+  // set may have put back to 0, hence the scans.
+  if (any_nonzero(task_outputs_)) {
+    graph.task_outputs_ = std::move(task_outputs_);
+  }
+  if (any_nonzero(task_warps_)) graph.task_warps_ = std::move(task_warps_);
+  graph.task_labels_ = std::move(task_labels_);
+  graph.data_labels_ = std::move(data_labels_);
 
   // Reverse CSR: data -> consumers, stable in task order.
-  const auto num_data = static_cast<std::uint32_t>(data_sizes_.size());
-  graph.data_offsets_ = bucket_offsets(num_data, task_inputs_, kIdentity);
-  graph.data_consumers_.resize(task_inputs_.size());
+  const auto num_data = static_cast<std::uint32_t>(graph.data_sizes_.size());
+  graph.data_offsets_ = bucket_offsets(num_data, graph.task_inputs_, kIdentity);
+  graph.data_consumers_.resize(graph.task_inputs_.size());
   std::vector<std::uint32_t> cursor(graph.data_offsets_.begin(),
                                     graph.data_offsets_.end() - 1);
-  const auto num_tasks = static_cast<TaskId>(task_flops_.size());
-  for (TaskId task = 0; task < num_tasks; ++task) {
-    for (std::uint32_t e = task_offsets_[task]; e < task_offsets_[task + 1];
-         ++e) {
-      graph.data_consumers_[cursor[task_inputs_[e]]++] = task;
+  for (TaskId task = 0; task < graph.num_tasks(); ++task) {
+    for (const DataId data : graph.inputs(task)) {
+      graph.data_consumers_[cursor[data]++] = task;
     }
   }
 
   graph.total_flops_ =
-      std::accumulate(task_flops_.begin(), task_flops_.end(), 0.0);
-  graph.working_set_bytes_ = std::accumulate(
-      data_sizes_.begin(), data_sizes_.end(), std::uint64_t{0});
+      std::accumulate(graph.task_flops_.begin(), graph.task_flops_.end(), 0.0);
+  graph.working_set_bytes_ =
+      std::accumulate(graph.data_sizes_.begin(), graph.data_sizes_.end(),
+                      std::uint64_t{0});
 
   build_dependencies(graph);
+  clear();
   return graph;
 }
 
@@ -172,8 +199,8 @@ TaskGraph TaskGraphBuilder::build() const {
 void TaskGraphBuilder::build_dependencies(TaskGraph& graph) const {
   if (explicit_edges_.empty() && task_write_list_.empty()) return;
 
-  const auto num_tasks = static_cast<TaskId>(task_flops_.size());
-  const auto num_data = static_cast<std::uint32_t>(data_sizes_.size());
+  const std::uint32_t num_tasks = graph.num_tasks();
+  const std::uint32_t num_data = graph.num_data();
   std::vector<std::uint32_t> cursor;  // fill position per counting-sort bucket
 
   // Write CSRs: task -> written data, bucketed by task and sorted ascending
@@ -240,9 +267,7 @@ void TaskGraphBuilder::build_dependencies(TaskGraph& graph) const {
     }
     // Reads bind to the current version: RAW from its writer, if any. A
     // task that also writes the data reads the previous version too.
-    for (std::uint32_t e = task_offsets_[task]; e < task_offsets_[task + 1];
-         ++e) {
-      const DataId data = task_inputs_[e];
+    for (const DataId data : graph.inputs(task)) {
       if (last_writer[data] != kInvalidTask) {
         incoming.push_back({last_writer[data], kDepRaw});
       }

@@ -22,12 +22,21 @@
 // counting-sort transpose, so the cost is linear in tasks + inputs + edges
 // plus one short per-task sort. A graph without dependencies carries none of
 // the dependency arrays — the independent-task fast paths stay untouched.
-// The graph is immutable after TaskGraphBuilder::build().
+//
+// Optional per-item arrays (task labels, data labels, output bytes, warp
+// footprints) are kept only once some item is given a non-empty or non-zero
+// value; the items before it read "" or 0, so a large unlabeled graph holds
+// no strings at all. The consuming `std::move(builder).build()` moves the
+// builder's arrays into the graph instead of copying them; `build() const&`
+// copies the builder and consumes the copy. The graph is immutable after
+// build().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -201,8 +210,8 @@ class TaskGraph {
   std::vector<double> task_flops_;
   std::vector<std::uint64_t> task_outputs_;   // empty when no outputs
   std::vector<std::uint32_t> task_warps_;     // empty when no warp footprints
-  std::vector<std::string> task_labels_;      // may be empty (no labels)
-  std::vector<std::string> data_labels_;
+  std::vector<std::string> task_labels_;      // empty when no labels
+  std::vector<std::string> data_labels_;      // empty when no labels
   double total_flops_ = 0.0;
   std::uint64_t working_set_bytes_ = 0;
 
@@ -223,14 +232,18 @@ class TaskGraph {
 
 class TaskGraphBuilder {
  public:
+  /// Makes room for `tasks` tasks reading `inputs` inputs in all, so a
+  /// caller that knows the graph's size grows no array while adding it.
+  void reserve(std::size_t tasks, std::size_t inputs);
+
   /// Registers a data item of `size_bytes`; returns its id (dense, 0-based).
-  DataId add_data(std::uint64_t size_bytes, std::string label = "");
+  DataId add_data(std::uint64_t size_bytes, std::string_view label = {});
 
   /// Registers a task reading `inputs` (all previously added, no duplicates).
   TaskId add_task(double flops, std::span<const DataId> inputs,
-                  std::string label = "");
+                  std::string_view label = {});
   TaskId add_task(double flops, std::initializer_list<DataId> inputs,
-                  std::string label = "");
+                  std::string_view label = {});
 
   /// Declares that the most recently added task writes `bytes` of output
   /// (held in GPU memory from start until write-back completes).
@@ -258,9 +271,13 @@ class TaskGraphBuilder {
     return static_cast<std::uint32_t>(data_sizes_.size());
   }
 
-  /// Finalizes the CSR structure. The builder can be reused afterwards only
-  /// after clear().
-  [[nodiscard]] TaskGraph build() const;
+  /// Finalizes the CSR structure from a copy of the builder, which stays as
+  /// it is.
+  [[nodiscard]] TaskGraph build() const&;
+
+  /// Finalizes the CSR structure, moving the builder's arrays into the graph;
+  /// the builder is left cleared.
+  [[nodiscard]] TaskGraph build() &&;
 
   void clear();
 
@@ -271,6 +288,7 @@ class TaskGraphBuilder {
   std::vector<DataId> task_inputs_;
   std::vector<std::uint64_t> data_sizes_;
   std::vector<double> task_flops_;
+  // Empty until some item gets a non-zero value or a non-empty label.
   std::vector<std::uint64_t> task_outputs_;
   std::vector<std::uint32_t> task_warps_;
   std::vector<std::string> task_labels_;

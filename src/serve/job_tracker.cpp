@@ -22,7 +22,7 @@ double percentile(const std::vector<double>& sorted, double p) {
 
 void JobTracker::bind(std::span<const std::uint32_t> task_job,
                       std::uint32_t num_jobs) {
-  task_job_.assign(task_job.begin(), task_job.end());
+  task_job_ = task_job;
   num_jobs_ = num_jobs;
   submit_us_.assign(num_jobs, -1.0);
   deadline_us_.assign(num_jobs, 0.0);

@@ -23,7 +23,8 @@ namespace mg::serve {
 
 class JobTracker final : public sim::Inspector {
  public:
-  /// Wires the union-graph job structure; call before the run.
+  /// Wires the union-graph job structure; call before the run. `task_job`
+  /// is read in place, so it must outlive the tracker.
   void bind(std::span<const std::uint32_t> task_job, std::uint32_t num_jobs);
 
   /// The arrival process handed `job` to admission at `time_us`;
@@ -63,7 +64,7 @@ class JobTracker final : public sim::Inspector {
 
  private:
   const core::TaskGraph* graph_ = nullptr;
-  std::vector<std::uint32_t> task_job_;
+  std::span<const std::uint32_t> task_job_;
   std::uint32_t num_jobs_ = 0;
 
   std::vector<double> submit_us_;

@@ -69,7 +69,7 @@ ServeEngine::ServeEngine(std::span<const core::TaskGraph> templates,
                  "autoscaler min_nodes exceeds the platform's node count");
     autoscaler_.emplace(config_.autoscale);
   }
-  engine_.enable_streaming(union_.task_job, union_.num_jobs);
+  engine_.enable_streaming(union_.task_job, union_.job_tasks);
   if (config_.slo.enabled) {
     if (config_.slo.batching) {
       MG_CHECK_MSG(config_.share_data,
@@ -79,18 +79,6 @@ ServeEngine::ServeEngine(std::span<const core::TaskGraph> templates,
                        planner_budget_warps(config_.engine, platform));
     }
     if (config_.slo.protect_min_priority > 0) {
-      // Distinct inputs per job, resolved once: the veto add/remove pairs
-      // walk these at release and retirement.
-      job_inputs_.resize(union_.num_jobs);
-      for (std::uint32_t job = 0; job < union_.num_jobs; ++job) {
-        std::vector<core::DataId>& inputs = job_inputs_[job];
-        for (const core::TaskId task : union_.job_tasks[job]) {
-          const auto span = union_.graph.inputs(task);
-          inputs.insert(inputs.end(), span.begin(), span.end());
-        }
-        std::sort(inputs.begin(), inputs.end());
-        inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-      }
       protected_jobs_.assign(union_.num_jobs, 0);
     }
   }
@@ -236,16 +224,18 @@ void ServeEngine::protect_job(std::uint32_t job) {
   if (protected_jobs_[job] != 0) return;
   protected_jobs_[job] = 1;
   const std::uint32_t tier = config_.slo.tiers.tier_of(jobs_[job].priority);
-  for (const core::DataId data : job_inputs_[job]) {
-    engine_.add_eviction_veto(data, tier);
+  const core::DataId base = union_.job_data_base[job];
+  for (const core::DataId data : union_.template_inputs[jobs_[job].graph]) {
+    engine_.add_eviction_veto(base + data, tier);
   }
 }
 
 void ServeEngine::unprotect_job(std::uint32_t job) {
   if (protected_jobs_.empty() || protected_jobs_[job] == 0) return;
   protected_jobs_[job] = 0;
-  for (const core::DataId data : job_inputs_[job]) {
-    engine_.remove_eviction_veto(data);
+  const core::DataId base = union_.job_data_base[job];
+  for (const core::DataId data : union_.template_inputs[jobs_[job].graph]) {
+    engine_.remove_eviction_veto(base + data);
   }
 }
 

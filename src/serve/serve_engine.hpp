@@ -164,8 +164,6 @@ class ServeEngine {
   std::vector<double> poisson_times_us_;  ///< per job, drawn by run()
   std::uint64_t poisson_sequence_ = 0;    ///< job 0's reserved sequence
   std::optional<slo::BatchPlanner> planner_;  ///< armed iff slo batching on
-  /// Distinct input DataIds per job (filled only when protection is armed).
-  std::vector<std::vector<core::DataId>> job_inputs_;
   std::vector<std::uint8_t> protected_jobs_;  ///< veto currently held
   std::optional<cluster::Autoscaler> autoscaler_;
   std::uint32_t scale_out_applied_ = 0;  ///< joins actually started

@@ -120,31 +120,39 @@ void RuntimeEngine::set_fault_injector(FaultInjector* injector) {
   injector_ = injector;
 }
 
-void RuntimeEngine::enable_streaming(std::vector<std::uint32_t> task_job,
-                                     std::uint32_t num_jobs) {
+void RuntimeEngine::enable_streaming(
+    std::span<const std::uint32_t> task_job,
+    std::span<const std::vector<TaskId>> job_tasks) {
   MG_CHECK_MSG(!ran_, "enable_streaming must be called before run()");
   MG_CHECK_MSG(!streaming_, "enable_streaming is single-shot");
   MG_CHECK_MSG(task_job.size() == graph_.num_tasks(),
                "task_job must map every task of the union graph");
-  MG_CHECK_MSG(num_jobs >= 1, "streaming needs at least one job");
+  MG_CHECK_MSG(!job_tasks.empty(), "streaming needs at least one job");
   MG_CHECK_MSG(scheduler_.begin_streaming(),
                "scheduler does not support streaming (begin_streaming "
                "declined)");
-  streaming_ = true;
-  num_jobs_ = num_jobs;
-  task_job_ = std::move(task_job);
-  job_tasks_.assign(num_jobs, {});
-  for (TaskId task = 0; task < graph_.num_tasks(); ++task) {
-    MG_CHECK_MSG(task_job_[task] < num_jobs, "task mapped to bad job id");
-    job_tasks_[task_job_[task]].push_back(task);
-  }
-  for (std::uint32_t job = 0; job < num_jobs; ++job) {
-    MG_CHECK_MSG(!job_tasks_[job].empty(), "job owns no tasks");
-  }
+  const auto num_jobs = static_cast<std::uint32_t>(job_tasks.size());
+  // The two maps must agree: each job's ascending tasks map back to it and
+  // together cover every task, so they partition the graph.
+  std::size_t mapped = 0;
   job_remaining_.assign(num_jobs, 0);
   for (std::uint32_t job = 0; job < num_jobs; ++job) {
-    job_remaining_[job] = static_cast<std::uint32_t>(job_tasks_[job].size());
+    const std::vector<TaskId>& tasks = job_tasks[job];
+    MG_CHECK_MSG(!tasks.empty(), "job owns no tasks");
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      MG_CHECK_MSG(tasks[i] < task_job.size() && task_job[tasks[i]] == job &&
+                       (i == 0 || tasks[i - 1] < tasks[i]),
+                   "job_tasks disagrees with task_job");
+    }
+    mapped += tasks.size();
+    job_remaining_[job] = static_cast<std::uint32_t>(tasks.size());
   }
+  MG_CHECK_MSG(mapped == task_job.size(),
+               "job_tasks must cover every task of the union graph");
+  streaming_ = true;
+  num_jobs_ = num_jobs;
+  task_job_ = task_job;
+  job_tasks_ = job_tasks;
   job_state_.assign(num_jobs, JobState::kPending);
   released_.assign(graph_.num_tasks(), false);
 }

@@ -163,11 +163,13 @@ class RuntimeEngine final : private MemoryManager::Observer,
   // callbacks on event_queue() — before run() or from within callbacks — and
   // learns about retirements through set_job_retired_callback.
 
-  /// Enables streaming. `task_job[t]` is the job of task t; jobs are numbered
-  /// densely 0..num_jobs-1 and every job owns at least one task. Must be
-  /// called before run().
-  void enable_streaming(std::vector<std::uint32_t> task_job,
-                        std::uint32_t num_jobs);
+  /// Enables streaming. `task_job[t]` is the job of task t and
+  /// `job_tasks[j]` the tasks of job j, ascending; jobs are numbered densely
+  /// 0..job_tasks.size()-1 and every job owns at least one task. Both are
+  /// read in place, so they must outlive the engine, like the graph. Must
+  /// be called before run().
+  void enable_streaming(std::span<const std::uint32_t> task_job,
+                        std::span<const std::vector<core::TaskId>> job_tasks);
 
   /// Releases a pending job: its tasks become eligible, the scheduler gets
   /// notify_job_arrived, and idle GPUs are woken.
@@ -711,8 +713,8 @@ class RuntimeEngine final : private MemoryManager::Observer,
   enum class JobState : std::uint8_t { kPending, kReleased, kShed, kRetired };
   bool streaming_ = false;
   std::uint32_t num_jobs_ = 0;
-  std::vector<std::uint32_t> task_job_;            ///< task -> job
-  std::vector<std::vector<core::TaskId>> job_tasks_;
+  std::span<const std::uint32_t> task_job_;        ///< task -> job
+  std::span<const std::vector<core::TaskId>> job_tasks_;  ///< job -> tasks
   std::vector<std::uint32_t> job_remaining_;       ///< uncompleted task count
   std::vector<JobState> job_state_;
   std::vector<bool> released_;

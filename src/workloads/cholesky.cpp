@@ -1,6 +1,7 @@
 #include "workloads/cholesky.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -74,7 +75,7 @@ core::TaskGraph make_cholesky_tasks(const CholeskyParams& params) {
       }
     }
   }
-  return builder.build();
+  return std::move(builder).build();
 }
 
 }  // namespace mg::work

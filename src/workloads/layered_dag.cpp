@@ -1,6 +1,7 @@
 #include "workloads/layered_dag.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -62,7 +63,7 @@ core::TaskGraph make_layered_dag(const LayeredDagParams& params) {
     }
     previous_layer = current_layer;
   }
-  return builder.build();
+  return std::move(builder).build();
 }
 
 }  // namespace mg::work

@@ -1,6 +1,7 @@
 #include "workloads/lu.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -68,7 +69,7 @@ core::TaskGraph make_lu_tasks(const LuParams& params) {
       }
     }
   }
-  return builder.build();
+  return std::move(builder).build();
 }
 
 }  // namespace mg::work

@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -46,7 +47,7 @@ core::TaskGraph make_matmul_2d(const Matmul2DParams& params) {
       builder.set_task_warps(task, matmul_2d_task_warps(params.tile_dim));
     }
   }
-  return builder.build();
+  return std::move(builder).build();
 }
 
 }  // namespace mg::work

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -44,7 +45,7 @@ core::TaskGraph make_matmul_3d(const Matmul3DParams& params) {
       }
     }
   }
-  return builder.build();
+  return std::move(builder).build();
 }
 
 }  // namespace mg::work

@@ -1,6 +1,7 @@
 #include "workloads/random_bipartite.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -34,7 +35,7 @@ core::TaskGraph make_random_bipartite(const RandomBipartiteParams& params) {
     }
     builder.add_task(params.task_flops, inputs);
   }
-  return builder.build();
+  return std::move(builder).build();
 }
 
 }  // namespace mg::work

@@ -1,6 +1,7 @@
 #include "workloads/sparse_matmul.hpp"
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -39,7 +40,7 @@ core::TaskGraph make_sparse_matmul(const SparseMatmulParams& params) {
   if (kept == 0) {
     builder.add_task(flops, {rows[0], cols[0]}, "C_0_0");
   }
-  return builder.build();
+  return std::move(builder).build();
 }
 
 }  // namespace mg::work

@@ -301,28 +301,23 @@ TEST(DepsDeathTest, RejectsSelfDependency) {
 /// length), the five edge counts, the critical path and has_dependencies().
 std::uint64_t graph_fingerprint(const core::TaskGraph& graph) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  auto mix_ids = [&hash](std::span<const std::uint32_t> ids) {
-    test::fnv1a_mix(hash, static_cast<std::uint32_t>(ids.size()), 4);
-    for (const std::uint32_t id : ids) test::fnv1a_mix(hash, id, 4);
-  };
   auto mix_kinds = [&hash](std::span<const std::uint8_t> kinds) {
     for (const std::uint8_t kind : kinds) test::fnv1a_mix(hash, kind, 1);
   };
   for (TaskId task = 0; task < graph.num_tasks(); ++task) {
-    mix_ids(graph.predecessors(task));
+    test::fnv1a_mix_ids(hash, graph.predecessors(task));
     mix_kinds(graph.predecessor_kinds(task));
-    mix_ids(graph.successors(task));
+    test::fnv1a_mix_ids(hash, graph.successors(task));
     mix_kinds(graph.successor_kinds(task));
-    mix_ids(graph.writes(task));
+    test::fnv1a_mix_ids(hash, graph.writes(task));
   }
   for (DataId data = 0; data < graph.num_data(); ++data) {
-    mix_ids(graph.writers(data));
+    test::fnv1a_mix_ids(hash, graph.writers(data));
   }
   const core::DepEdgeCounts& counts = graph.dependency_edge_counts();
   for (const std::uint64_t count : {counts.total, counts.explicit_edges,
                                     counts.raw, counts.war, counts.waw}) {
-    test::fnv1a_mix(hash, static_cast<std::uint32_t>(count), 4);
-    test::fnv1a_mix(hash, static_cast<std::uint32_t>(count >> 32), 4);
+    test::fnv1a_mix64(hash, count);
   }
   test::fnv1a_mix(hash, graph.critical_path_length(), 4);
   test::fnv1a_mix(hash, graph.has_dependencies() ? 1u : 0u, 1);
@@ -435,12 +430,51 @@ const GraphPinCase kGraphPinCases[] = {
     {"WritesWithoutEdges", make_edgeless_writes, 0xe6562deb95e3b037ULL},
 };
 
+/// A builder holding `graph` again: its data, tasks, outputs, warps and
+/// writes, and the edges whose kinds carry kDepExplicit.
+core::TaskGraphBuilder builder_of(const core::TaskGraph& graph) {
+  core::TaskGraphBuilder builder;
+  for (DataId data = 0; data < graph.num_data(); ++data) {
+    builder.add_data(graph.data_size(data), graph.data_label(data));
+  }
+  for (TaskId task = 0; task < graph.num_tasks(); ++task) {
+    builder.add_task(graph.task_flops(task), graph.inputs(task),
+                     graph.task_label(task));
+    builder.set_task_output(task, graph.task_output_bytes(task));
+    builder.set_task_warps(task, graph.task_warps(task));
+    for (const DataId data : graph.writes(task)) {
+      builder.set_task_writes(task, data);
+    }
+  }
+  for (TaskId task = 0; task < graph.num_tasks(); ++task) {
+    const auto preds = graph.predecessors(task);
+    const auto kinds = graph.predecessor_kinds(task);
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      if (kinds[i] & core::kDepExplicit) builder.add_dependency(preds[i], task);
+    }
+  }
+  return builder;
+}
+
 class GraphPin : public testing::TestWithParam<GraphPinCase> {};
 
+// The generators build through the consuming build(); the same graph, put
+// back into a builder, comes out identical through either overload.
 TEST_P(GraphPin, BuildRepeatsExactly) {
   const GraphPinCase& pin_case = GetParam();
-  const std::uint64_t actual = graph_fingerprint(pin_case.graph());
+  const core::TaskGraph graph = pin_case.graph();
+  const std::uint64_t actual = graph_fingerprint(graph);
   EXPECT_EQ(actual, pin_case.expected) << "actual 0x" << std::hex << actual;
+
+  core::TaskGraphBuilder builder = builder_of(graph);
+  const core::TaskGraph copied = builder.build();
+  const core::TaskGraph consumed = std::move(builder).build();
+  for (const core::TaskGraph* rebuilt : {&copied, &consumed}) {
+    EXPECT_EQ(graph_fingerprint(*rebuilt), pin_case.expected);
+    EXPECT_EQ(test::graph_arrays_fingerprint(*rebuilt),
+              test::graph_arrays_fingerprint(graph));
+  }
+  EXPECT_EQ(builder.num_tasks(), 0u);  // the consuming build clears it
 }
 
 INSTANTIATE_TEST_SUITE_P(Graphs, GraphPin, testing::ValuesIn(kGraphPinCases),

@@ -1,5 +1,6 @@
-// Serving subsystem tests: union-graph construction (namespacing, data
-// sharing vs. the no-share ablation), arrival processes, admission control,
+// Serving subsystem tests: union-graph construction (job maps, data sharing
+// vs. the no-share ablation, pinned arrays), arrival processes, admission
+// control,
 // the streamed serving loop under every scheduler (with the online
 // InvariantChecker), deadline scoring, cross-job reuse measurement,
 // bit-identical run reports (including checkpointed permanent-GPU-loss
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <set>
@@ -28,6 +30,9 @@
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "decision_pin.hpp"
+#include "workloads/cholesky.hpp"
+#include "workloads/matmul2d.hpp"
 
 namespace mg::serve {
 namespace {
@@ -89,9 +94,6 @@ TEST(UnionGraph, SharedDataIsDeduplicatedAcrossJobs) {
     ASSERT_EQ(u.job_tasks[job].size(), tmpl.num_tasks());
     for (const TaskId task : u.job_tasks[job]) {
       EXPECT_EQ(u.task_job[task], job);
-      const std::string& label = u.graph.task_label(task);
-      EXPECT_EQ(label.rfind("j" + std::to_string(job) + ":", 0), 0u)
-          << label;
     }
     // 4 distinct 10-byte inputs, no declared outputs.
     EXPECT_EQ(u.job_footprint_bytes[job], 40u);
@@ -113,6 +115,136 @@ TEST(UnionGraph, NoShareGivesEveryJobPrivateData) {
       EXPECT_EQ(owner[data], u.task_job[task]);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Union-graph pins: FNV-1a over every array the engine and the schedulers
+// read, so a rewrite of build_union_graph must produce the same graphs.
+// ---------------------------------------------------------------------------
+
+/// The base arrays of the union graph, then num_jobs, task_job, every
+/// job's task list (length-prefixed) and every job's footprint.
+std::uint64_t union_fingerprint(const UnionGraph& u) {
+  std::uint64_t hash = test::graph_arrays_fingerprint(u.graph);
+  test::fnv1a_mix(hash, u.num_jobs, 4);
+  test::fnv1a_mix_ids(hash, u.task_job);
+  for (const std::vector<TaskId>& tasks : u.job_tasks) {
+    test::fnv1a_mix_ids(hash, tasks);
+  }
+  for (const std::uint64_t bytes : u.job_footprint_bytes) {
+    test::fnv1a_mix64(hash, bytes);
+  }
+  return hash;
+}
+
+/// What build_union_graph is given.
+struct UnionInput {
+  std::vector<core::TaskGraph> templates;
+  std::vector<JobSpec> jobs;
+  bool share_data = true;
+};
+
+/// serve_cluster's template (N=8 matmul, 64 tasks) x 2,000 jobs.
+UnionInput serve_cluster_input() {
+  UnionInput input;
+  input.templates.push_back(work::make_matmul_2d({.n = 8}));
+  input.jobs.resize(2000);
+  for (std::uint32_t job = 0; job < input.jobs.size(); ++job) {
+    input.jobs[job].priority = job % 2;
+  }
+  return input;
+}
+
+/// Two interleaved templates — Cholesky tasks with outputs (one to three
+/// inputs each) and a shuffled matmul with warp footprints — and every
+/// fourth job overriding its warps.
+UnionInput mixed_input(bool share_data) {
+  UnionInput input;
+  input.templates.push_back(work::make_cholesky_tasks(
+      {.n = 4, .tile_elems = 64, .with_outputs = true}));
+  input.templates.push_back(work::make_matmul_2d({.n = 3,
+                                                  .data_bytes = 4096,
+                                                  .randomize_order = true,
+                                                  .seed = 3,
+                                                  .derive_warps = true}));
+  input.jobs.resize(50);
+  for (std::uint32_t job = 0; job < input.jobs.size(); ++job) {
+    input.jobs[job].graph = job % 3 == 1 ? 1 : 0;
+    if (job % 4 == 2) input.jobs[job].warps = 300;
+  }
+  input.share_data = share_data;
+  return input;
+}
+
+struct UnionPinCase {
+  const char* name;
+  UnionInput (*input)();
+  std::uint64_t expected;
+};
+
+void PrintTo(const UnionPinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
+
+// Reference values: the builder that labelled every task "j<job>:<label>"
+// and copied its arrays into the graph gives these arrays.
+const UnionPinCase kUnionPinCases[] = {
+    {"ServeClusterN8x2000", serve_cluster_input, 0x1c3b6c523cbc8deeULL},
+    {"MixedTemplates", [] { return mixed_input(true); },
+     0xddfda4eb8bc67611ULL},
+    {"MixedTemplatesNoShare", [] { return mixed_input(false); },
+     0x6cf93b22c6a1f2a7ULL},
+};
+
+class UnionGraphPin : public testing::TestWithParam<UnionPinCase> {};
+
+TEST_P(UnionGraphPin, BuildRepeatsExactly) {
+  const UnionPinCase& pin_case = GetParam();
+  const UnionInput input = pin_case.input();
+  const UnionGraph u =
+      build_union_graph(input.templates, input.jobs, input.share_data);
+  const std::uint64_t actual = union_fingerprint(u);
+  EXPECT_EQ(actual, pin_case.expected) << "actual 0x" << std::hex << actual;
+
+  // A job's data block plus its template's input list gives the job's
+  // distinct inputs, ascending, as sorting its tasks' inputs does.
+  ASSERT_EQ(u.job_data_base.size(), u.num_jobs);
+  for (std::uint32_t job = 0; job < u.num_jobs; ++job) {
+    std::vector<DataId> sorted;
+    for (const TaskId task : u.job_tasks[job]) {
+      const auto inputs = u.graph.inputs(task);
+      sorted.insert(sorted.end(), inputs.begin(), inputs.end());
+    }
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    std::vector<DataId> block;
+    for (const DataId data : u.template_inputs[input.jobs[job].graph]) {
+      block.push_back(u.job_data_base[job] + data);
+    }
+    EXPECT_EQ(block, sorted) << "job " << job;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Unions, UnionGraphPin,
+                         testing::ValuesIn(kUnionPinCases),
+                         [](const testing::TestParamInfo<UnionPinCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(UnionGraphDeathTest, RejectsTemplatesWithDependencies) {
+  const std::vector<JobSpec> jobs(2);
+  const std::vector<core::TaskGraph> dag = {
+      work::make_cholesky_tasks({.n = 3, .with_dependencies = true})};
+  EXPECT_DEATH((void)build_union_graph(dag, jobs), "dependencies or writes");
+
+  // Writes that derive no edge are refused too: the union drops them.
+  core::TaskGraphBuilder builder;
+  const DataId data = builder.add_data(10);
+  builder.set_task_writes(builder.add_task(1.0, {data}), data);
+  const std::vector<core::TaskGraph> writes = {builder.build()};
+  ASSERT_FALSE(writes[0].has_dependencies());
+  EXPECT_DEATH((void)build_union_graph(writes, jobs),
+               "dependencies or writes");
 }
 
 TEST(Arrival, PoissonIsDeterministicAndMonotonic) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace mg::core {
@@ -98,6 +99,57 @@ TEST(TaskGraph, LabelsAreOptional) {
   const TaskGraph unlabeled = builder.build();
   EXPECT_EQ(unlabeled.task_label(0), "");
   EXPECT_EQ(unlabeled.data_label(0), "");
+}
+
+// Labels, outputs and warps are kept from the first item that has one; the
+// items before it read "" or 0, through either build().
+TEST(TaskGraphBuilder, OptionalArraysStartAtTheFirstValue) {
+  TaskGraphBuilder builder;
+  builder.reserve(6, 12);
+  const DataId d0 = builder.add_data(1);
+  const DataId d1 = builder.add_data(1, "beta");
+  const DataId d2 = builder.add_data(1);
+  constexpr TaskId kFirstLabelled = 3;
+  for (TaskId task = 0; task < 6; ++task) {
+    const TaskId id = builder.add_task(
+        1.0, {d0, d2},
+        task == kFirstLabelled ? "t3" : (task == 5 ? "t5" : ""));
+    builder.set_task_output(id, task == 4 ? 8 : 0);
+    builder.set_task_warps(id, task == 2 ? 32 : 0);
+  }
+  const TaskGraph copied = builder.build();
+  const TaskGraph consumed = std::move(builder).build();
+  for (const TaskGraph* graph : {&copied, &consumed}) {
+    for (TaskId task = 0; task < kFirstLabelled; ++task) {
+      EXPECT_EQ(graph->task_label(task), "");
+    }
+    EXPECT_EQ(graph->task_label(3), "t3");
+    EXPECT_EQ(graph->task_label(4), "");
+    EXPECT_EQ(graph->task_label(5), "t5");
+    EXPECT_EQ(graph->data_label(d0), "");
+    EXPECT_EQ(graph->data_label(d1), "beta");
+    EXPECT_EQ(graph->data_label(d2), "");
+    ASSERT_TRUE(graph->has_outputs());
+    ASSERT_TRUE(graph->has_warps());
+    for (TaskId task = 0; task < 6; ++task) {
+      EXPECT_EQ(graph->task_output_bytes(task), task == 4 ? 8u : 0u);
+      EXPECT_EQ(graph->task_warps(task), task == 2 ? 32u : 0u);
+    }
+  }
+
+  // The consumed builder starts over empty, and a value set back to 0
+  // stores nothing.
+  builder.add_task(1.0, {builder.add_data(1)});
+  builder.set_task_output(0, 8);
+  builder.set_task_output(0, 0);
+  builder.set_task_warps(0, 32);
+  builder.set_task_warps(0, 0);
+  const TaskGraph zeroed = std::move(builder).build();
+  ASSERT_EQ(zeroed.num_tasks(), 1u);
+  EXPECT_EQ(zeroed.inputs(0).size(), 1u);
+  EXPECT_EQ(zeroed.consumers(0).size(), 1u);
+  EXPECT_FALSE(zeroed.has_outputs());
+  EXPECT_FALSE(zeroed.has_warps());
 }
 
 TEST(TaskGraphBuilder, ClearResetsState) {
