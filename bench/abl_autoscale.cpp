@@ -57,8 +57,10 @@ int main(int argc, char** argv) {
       flags, "abl_autoscale",
       "elastic autoscaling vs. fixed topology under an arrival spike");
   if (!config.platform.is_cluster()) {
-    std::fprintf(stderr, "abl_autoscale needs --nodes >= 2\n");
-    return 1;
+    std::fprintf(stderr, "bad value for --nodes: '%u' (abl_autoscale needs "
+                 "at least 2)\n",
+                 config.platform.num_nodes);
+    return 2;
   }
 
   std::vector<core::TaskGraph> templates;
@@ -90,6 +92,7 @@ int main(int argc, char** argv) {
     serve::ServeResult result;
     sim::RunReport::Autoscaling autoscaling;
   };
+  std::vector<sim::RunReport> reports;
   // One arm: a full streamed run on `initial_nodes`, autoscaler on/off.
   auto run_arm = [&](const std::string& arm, std::uint32_t initial_nodes,
                      bool autoscale) {
@@ -104,7 +107,8 @@ int main(int argc, char** argv) {
     serve_config.engine.seed = config.seed;
     serve_config.engine.initial_active_nodes = initial_nodes;
     if (autoscale) {
-      serve_config.autoscale = serve::autoscale_from_flags(flags);
+      serve_config.autoscale =
+          serve::autoscale_from_flags(flags, config.platform);
       serve_config.autoscale.enabled = true;
     }
 
@@ -130,10 +134,10 @@ int main(int argc, char** argv) {
                    arm.c_str());
       std::exit(1);
     }
-    arm_result.autoscaling = collector.report().autoscaling;
-    arm_result.autoscaling.scale_out_events =
-        arm_result.result.scale_out_events;
-    arm_result.autoscaling.scale_in_events = arm_result.result.scale_in_events;
+    sim::RunReport report = collector.report();
+    serve::fill_serving_report(report, arm_result.result);
+    arm_result.autoscaling = report.autoscaling;
+    reports.push_back(std::move(report));
 
     const sim::RunReport::Serving& serving = arm_result.result.serving;
     const sim::RunReport::Autoscaling& scaling = arm_result.autoscaling;
@@ -160,6 +164,13 @@ int main(int argc, char** argv) {
   const ArmResult autoscaled = run_arm("autoscaled", 1, true);
   (void)fixed_large;
 
+  if (!config.run_report_path.empty() &&
+      !sim::write_run_reports(reports, "abl_autoscale: " + config.title,
+                              config.run_report_path)) {
+    std::fprintf(stderr, "failed to write run report to %s\n",
+                 config.run_report_path.c_str());
+    return 1;
+  }
   if (flags.get_bool("check")) {
     const auto& small = fixed_small.result.serving;
     const auto& elastic = autoscaled.result.serving;

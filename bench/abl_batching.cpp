@@ -32,25 +32,6 @@
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
 
-namespace {
-
-std::vector<double> parse_list(const std::string& spec) {
-  std::vector<double> values;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string token =
-        spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    if (!token.empty()) values.push_back(std::stod(token));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags(
@@ -64,8 +45,9 @@ int main(int argc, char** argv) {
       .define_int("max-in-flight", 4,
                   "admission bound on concurrently in-flight jobs (tight, "
                   "so the queue holds fusion candidates)")
-      .define_string("mem-mbs", "150,60",
-                     "comma-separated per-GPU memory points (MB)")
+      .define_list("mem-mbs", "150,60",
+                   "comma-separated per-GPU memory points (MB)",
+                   {.min_exclusive = true})
       .define_int("max-batch", 4, "jobs per super-task batch, leader incl.")
       .define_double("marginal-compute", 0.4,
                      "fused rider compute cost (fraction of a full run)")
@@ -80,11 +62,7 @@ int main(int argc, char** argv) {
       flags, "abl_batching",
       "cross-job super-task batching vs. plain tiered serving");
 
-  const std::vector<double> mem_mbs = parse_list(flags.get_string("mem-mbs"));
-  if (mem_mbs.empty()) {
-    std::fprintf(stderr, "--mem-mbs must be non-empty\n");
-    return 1;
-  }
+  const std::vector<double>& mem_mbs = flags.get_list("mem-mbs");
 
   std::vector<core::TaskGraph> templates;
   templates.push_back(work::make_matmul_2d(
@@ -166,14 +144,7 @@ int main(int argc, char** argv) {
     }
     out.checker_ok = checker.ok();
     out.report = collector.report();
-    out.report.serving = out.result.serving;
-    // Counters (jobs_fused, ...) come from the collector; the per-tier
-    // latency table only the serving layer can fill.
-    if (out.result.slo.enabled) {
-      out.report.slo.enabled = true;
-      out.report.slo.tiers = out.result.slo.tiers;
-      out.report.slo.per_tier = out.result.slo.per_tier;
-    }
+    serve::fill_serving_report(out.report, out.result);
     out.json = sim::run_report_to_json(out.report);
 
     if (emit_row) {

@@ -11,7 +11,6 @@
 // triggers fewer host reloads. With the InvariantChecker attached, every
 // run also re-proves the degraded execution model online.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -24,26 +23,12 @@
 #include "sched/dmda.hpp"
 #include "sched/eager.hpp"
 #include "sched/hfp.hpp"
+#include "serve/job_tracker.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "util/csv.hpp"
 #include "workloads/workloads.hpp"
-
-namespace {
-
-/// Nearest-rank percentile (serve::JobTracker convention).
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank =
-      std::ceil(p / 100.0 * static_cast<double>(values.size()));
-  const std::size_t index = static_cast<std::size_t>(
-      std::max(1.0, std::min(rank, static_cast<double>(values.size()))));
-  return values[index - 1];
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mg;
@@ -101,6 +86,8 @@ int main(int argc, char** argv) {
       engine.add_inspector(&checker);
       const core::RunMetrics metrics = observer.run(
           engine, graph, entry.label + " " + scenario);
+      std::vector<double> recovery = metrics.faults.recovery_latency_us;
+      std::sort(recovery.begin(), recovery.end());
       csv.row({scenario, entry.label, checkpoint_interval_us,
                std::int64_t{replicate ? 1 : 0}, metrics.achieved_gflops(),
                metrics.wall_makespan_us() / 1e3,
@@ -117,8 +104,8 @@ int main(int argc, char** argv) {
                static_cast<std::int64_t>(metrics.faults.replicas_shed),
                static_cast<std::int64_t>(
                    metrics.faults.post_loss_host_loads),
-               percentile(metrics.faults.recovery_latency_us, 50.0) / 1e3,
-               percentile(metrics.faults.recovery_latency_us, 95.0) / 1e3});
+               serve::nearest_rank_percentile(recovery, 50.0) / 1e3,
+               serve::nearest_rank_percentile(recovery, 95.0) / 1e3});
     };
 
     // Calibration run: fault-free makespan anchors the scenario times.

@@ -71,8 +71,10 @@ int main(int argc, char** argv) {
   // bare invocation to the 3-node split instead of erroring out.
   if (flags.get_int("nodes") == 1) config.platform.num_nodes = 3;
   if (config.platform.num_nodes < 3) {
-    std::fprintf(stderr, "abl_netfaults needs --nodes >= 3\n");
-    return 1;
+    std::fprintf(stderr, "bad value for --nodes: '%u' (abl_netfaults needs "
+                 "at least 3)\n",
+                 config.platform.num_nodes);
+    return 2;
   }
 
   std::vector<core::TaskGraph> templates;
@@ -144,9 +146,11 @@ int main(int argc, char** argv) {
                    checker.report().excerpt.c_str());
       std::exit(1);
     }
-    arm_result.net = collector.report().network_faults;
-    arm_result.report_json = sim::run_report_to_json(collector.report());
-    reports.push_back(collector.report());
+    sim::RunReport report = collector.report();
+    serve::fill_serving_report(report, arm_result.result);
+    arm_result.net = report.network_faults;
+    arm_result.report_json = sim::run_report_to_json(report);
+    reports.push_back(std::move(report));
 
     const sim::RunReport::Serving& serving = arm_result.result.serving;
     csv.row({arm, static_cast<std::int64_t>(serving.jobs_submitted),

@@ -34,25 +34,6 @@
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
 
-namespace {
-
-std::vector<double> parse_list(const std::string& spec) {
-  std::vector<double> values;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string token =
-        spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    if (!token.empty()) values.push_back(std::stod(token));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return values;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags(
@@ -65,10 +46,11 @@ int main(int argc, char** argv) {
       .define_double("rate", 300.0, "Poisson arrival rate (jobs/s)")
       .define_int("max-in-flight", 12,
                   "admission bound on concurrently in-flight jobs")
-      .define_string("thresholds", "0,0.75,1.0,1.25",
-                     "comma-separated sharing thresholds (0 = exclusive)")
-      .define_string("mem-mbs", "150,60",
-                     "comma-separated per-GPU memory points (MB)")
+      .define_list("thresholds", "0,0.75,1.0,1.25",
+                   "comma-separated sharing thresholds (0 = exclusive)")
+      .define_list("mem-mbs", "150,60",
+                   "comma-separated per-GPU memory points (MB)",
+                   {.min_exclusive = true})
       .define_int("warps", 0,
                   "explicit warp footprint per task (0 = derive from the "
                   "matmul tile geometry)")
@@ -83,13 +65,8 @@ int main(int argc, char** argv) {
       flags, "abl_occupancy",
       "occupancy-aware GPU sharing vs. exclusive ownership");
 
-  const std::vector<double> thresholds =
-      parse_list(flags.get_string("thresholds"));
-  const std::vector<double> mem_mbs = parse_list(flags.get_string("mem-mbs"));
-  if (thresholds.empty() || mem_mbs.empty()) {
-    std::fprintf(stderr, "--thresholds / --mem-mbs must be non-empty\n");
-    return 1;
-  }
+  const std::vector<double>& thresholds = flags.get_list("thresholds");
+  const std::vector<double>& mem_mbs = flags.get_list("mem-mbs");
 
   // Every task always carries its derived footprint — threshold 0 simply
   // never consults it, which is exactly the byte-identity contract.
@@ -125,6 +102,7 @@ int main(int argc, char** argv) {
     sim::RunReport report;
     bool checker_ok = true;
   };
+  std::vector<sim::RunReport> reports;
   auto run_arm = [&](double mem_mb, double threshold) {
     core::Platform platform = config.platform;
     platform.gpu_memory_bytes =
@@ -159,7 +137,8 @@ int main(int argc, char** argv) {
     }
     arm.checker_ok = checker.ok();
     arm.report = collector.report();
-    arm.report.serving = arm.result.serving;
+    serve::fill_serving_report(arm.report, arm.result);
+    reports.push_back(arm.report);
 
     const sim::RunReport::Occupancy& occ = arm.report.occupancy;
     double mean_occupancy = 0.0;
@@ -274,6 +253,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!config.run_report_path.empty() &&
+      !sim::write_run_reports(reports, "abl_occupancy: " + config.title,
+                              config.run_report_path)) {
+    std::fprintf(stderr, "failed to write run report to %s\n",
+                 config.run_report_path.c_str());
+    return 1;
+  }
   if (flags.get_bool("check")) {
     if (!all_checks_ok || !claim_ok) return 1;
     std::printf("claim OK: sharing beats exclusive at the ample memory "

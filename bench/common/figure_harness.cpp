@@ -16,6 +16,7 @@
 #include "sim/engine_guard.hpp"
 #include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/platform_flags.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "util/stopwatch.hpp"
@@ -304,9 +305,8 @@ void RunObserver::flush() {
 
 void add_standard_flags(util::Flags& flags, std::uint32_t default_gpus,
                         std::int64_t default_mem_mb) {
-  flags.define_int("gpus", default_gpus, "number of GPUs (K)", /*min_value=*/1)
-      .define_int("mem-mb", default_mem_mb, "usable GPU memory in MB")
-      .define_int("reps", 1, "repetitions averaged per point")
+  sim::add_platform_flags(flags, default_gpus, default_mem_mb);
+  flags.define_int("reps", 1, "repetitions averaged per point")
       .define_int("seed", 42, "base RNG seed")
       .define_string("out", "", "CSV output path (default: stdout)")
       .define_bool("full", false,
@@ -320,9 +320,6 @@ void add_standard_flags(util::Flags& flags, std::uint32_t default_gpus,
       .define_string("chrome-trace", "",
                      "write a chrome://tracing timeline of the last run to "
                      "this path")
-      .define_string("fault-plan", "",
-                     "JSON fault plan injected into every run "
-                     "(docs/ROBUSTNESS.md)")
       .define_double("checkpoint-interval", 0.0,
                      "checkpoint task progress every N simulated us of "
                      "compute (0 = off)")
@@ -332,19 +329,7 @@ void add_standard_flags(util::Flags& flags, std::uint32_t default_gpus,
                      "set)")
       .define_bool("replicate-hot", false,
                    "keep a second replica of hot shared data on another GPU "
-                   "while the fault plan threatens GPU losses")
-      .define_int("nodes", 1,
-                  "cluster nodes the GPUs are split across (1 = the paper's "
-                  "single-node platform)")
-      .define_double("net-bandwidth", 12.5,
-                     "inter-node network bandwidth in GB/s (used when "
-                     "--nodes > 1)")
-      .define_double("net-latency", 25.0,
-                     "inter-node network latency in us (used when "
-                     "--nodes > 1)")
-      .define_int("host-mem-mb", 0,
-                  "per-node host cache of remote data in MB (0 = unbounded; "
-                  "used when --nodes > 1)");
+                   "while the fault plan threatens GPU losses");
 }
 
 FigureConfig config_from_flags(const util::Flags& flags, std::string figure,
@@ -352,31 +337,14 @@ FigureConfig config_from_flags(const util::Flags& flags, std::string figure,
   FigureConfig config;
   config.figure = std::move(figure);
   config.title = std::move(title);
-  config.platform = core::make_v100_platform(
-      static_cast<std::uint32_t>(flags.get_int("gpus")),
-      static_cast<std::uint64_t>(flags.get_int("mem-mb")) * core::kMB);
-  config.platform.num_nodes =
-      static_cast<std::uint32_t>(flags.get_int("nodes"));
-  config.platform.net_bandwidth_bytes_per_s =
-      flags.get_double("net-bandwidth") * 1e9;
-  config.platform.net_latency_us = flags.get_double("net-latency");
-  config.platform.host_memory_bytes =
-      static_cast<std::uint64_t>(flags.get_int("host-mem-mb")) * core::kMB;
+  config.platform = sim::platform_from_flags(flags);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   config.repetitions = static_cast<std::uint32_t>(flags.get_int("reps"));
   config.output_path = flags.get_string("out");
   config.jobs = static_cast<std::uint32_t>(flags.get_int("jobs"));
   config.run_report_path = flags.get_string("run-report");
   config.chrome_trace_path = flags.get_string("chrome-trace");
-  const std::string fault_plan_path = flags.get_string("fault-plan");
-  if (!fault_plan_path.empty()) {
-    std::string error;
-    auto plan = sim::load_fault_plan_file(fault_plan_path, &error);
-    if (!plan) {
-      std::fprintf(stderr, "--fault-plan %s: %s\n", fault_plan_path.c_str(),
-                   error.c_str());
-      std::exit(2);
-    }
+  if (auto plan = sim::fault_plan_from_flags(flags)) {
     config.fault_plan = std::move(*plan);
   }
   config.checkpoint_interval_us = flags.get_double("checkpoint-interval");

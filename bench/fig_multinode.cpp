@@ -33,30 +33,8 @@
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
 
-namespace {
-
-using namespace mg;
-
-std::vector<std::uint32_t> parse_node_list(const std::string& spec) {
-  std::vector<std::uint32_t> nodes;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string token =
-        spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    if (!token.empty()) {
-      nodes.push_back(static_cast<std::uint32_t>(std::stoul(token)));
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return nodes;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace mg;
   util::Flags flags(
       "fig_multinode: one workload scaled across cluster nodes.\n"
       "schedulers: EAGER, DARTS+LUF, mHFP, hier(mHFP), hier(DARTS+LUF), "
@@ -64,22 +42,16 @@ int main(int argc, char** argv) {
   bench::add_standard_flags(flags, /*default_gpus=*/4);
   flags.define_int("n", 16, "matmul dimension (N^2 tasks, 2N data)",
                    /*min_value=*/1)
-      .define_string("node-list", "1,2,4",
-                     "comma-separated node counts to sweep (each must divide "
-                     "into the GPU count with >= 1 GPU per node)")
+      .define_list("node-list", "1,2,4",
+                   "comma-separated node counts to sweep (each must divide "
+                   "into the GPU count with >= 1 GPU per node)",
+                   {.min = 1, .integral = true})
       .define_bool("check", false,
                    "run the online InvariantChecker over every run");
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   bench::FigureConfig config = bench::config_from_flags(
       flags, "fig_multinode", "inter-node traffic and balance vs. node count");
-
-  const std::vector<std::uint32_t> node_counts =
-      parse_node_list(flags.get_string("node-list"));
-  if (node_counts.empty()) {
-    std::fprintf(stderr, "--node-list is empty\n");
-    return 1;
-  }
 
   const core::TaskGraph graph = work::make_matmul_2d(
       {.n = static_cast<std::uint32_t>(flags.get_int("n"))});
@@ -122,12 +94,13 @@ int main(int argc, char** argv) {
   csv.comment(line);
 
   std::vector<sim::RunReport> reports;
-  for (const std::uint32_t nodes : node_counts) {
-    if (nodes == 0 || nodes > config.platform.num_gpus) {
-      std::fprintf(stderr, "skipping --node-list entry %u: need 1..%u\n",
-                   nodes, config.platform.num_gpus);
+  for (const double entry : flags.get_list("node-list")) {
+    if (entry > config.platform.num_gpus) {
+      std::fprintf(stderr, "skipping --node-list entry %g: need 1..%u\n",
+                   entry, config.platform.num_gpus);
       continue;
     }
+    const auto nodes = static_cast<std::uint32_t>(entry);
     core::Platform platform = config.platform;
     platform.num_nodes = nodes;
 

@@ -14,7 +14,6 @@
 //   ./fig_throughput --arrival=closed-loop --concurrency=6
 //   ./fig_throughput --rates=50 --run-report=serving.json
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,39 +33,8 @@
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
 
-namespace {
-
-using namespace mg;
-
-// Empty when the list is empty or an entry is not a positive number.
-std::vector<double> parse_rates(const std::string& spec) {
-  std::vector<double> rates;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t comma = spec.find(',', start);
-    const std::string token =
-        spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    if (!token.empty()) {
-      std::size_t parsed = 0;
-      double rate = 0.0;
-      try {
-        rate = std::stod(token, &parsed);
-      } catch (const std::exception&) {
-        return {};
-      }
-      if (parsed != token.size() || !(rate > 0.0)) return {};
-      rates.push_back(rate);
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return rates;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace mg;
   util::Flags flags(
       "fig_throughput: streamed serving throughput/latency across arrival "
       "rates.\nschedulers: EAGER, DMDAR, DARTS+LUF, mHFP");
@@ -75,8 +43,9 @@ int main(int argc, char** argv) {
   bench::add_standard_flags(flags, 2, /*default_mem_mb=*/150);
   flags.define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("num-jobs", 60, "jobs streamed per run", /*min_value=*/1)
-      .define_string("rates", "25,50,100,200",
-                     "comma-separated Poisson arrival rates (jobs/s)")
+      .define_list("rates", "25,50,100,200",
+                   "comma-separated Poisson arrival rates (jobs/s)",
+                   {.min_exclusive = true})
       .define_string("arrival", "poisson", "poisson | closed-loop")
       .define_int("concurrency", 4, "closed-loop client count")
       .define_double("deadline-ms", 0.0,
@@ -113,18 +82,13 @@ int main(int argc, char** argv) {
 
   const auto arrival = serve::parse_arrival_mode(flags.get_string("arrival"));
   if (!arrival.has_value()) {
-    std::fprintf(stderr, "unknown --arrival '%s'\n",
+    std::fprintf(stderr, "bad value for --arrival: '%s'\n",
                  flags.get_string("arrival").c_str());
-    return 1;
-  }
-  const std::vector<double> rates = parse_rates(flags.get_string("rates"));
-  if (rates.empty()) {
-    std::fprintf(stderr,
-                 "bad value for --rates: '%s' (positive jobs/s, "
-                 "comma-separated)\n",
-                 flags.get_string("rates").c_str());
     return 2;
   }
+  const cluster::AutoscalerConfig autoscale =
+      serve::autoscale_from_flags(flags, config.platform);
+  const std::vector<double>& rates = flags.get_list("rates");
 
   const double occupancy_threshold = flags.get_double("occupancy-threshold");
   if (occupancy_threshold > 0.0 && (config.checkpoint_interval_us > 0.0 ||
@@ -214,13 +178,9 @@ int main(int argc, char** argv) {
         serve_config.slo.enabled = true;
         serve_config.slo.tiers = slo::TierPolicy::even(num_tiers);
       }
-      serve_config.autoscale = serve::autoscale_from_flags(flags);
+      serve_config.autoscale = autoscale;
       serve_config.engine.initial_active_nodes =
           serve::autoscale_initial_nodes(flags);
-      if (serve_config.autoscale.enabled && !config.platform.is_cluster()) {
-        std::fprintf(stderr, "--autoscale needs --nodes >= 2\n");
-        return 1;
-      }
 
       auto scheduler = spec.factory();
       serve::ServeEngine engine(templates, jobs, config.platform, *scheduler,
@@ -258,16 +218,7 @@ int main(int argc, char** argv) {
       sim::RunReport::Occupancy occupancy;
       if (collector != nullptr) {
         sim::RunReport report = collector->report();
-        report.serving = result.serving;
-        report.autoscaling.scale_out_events = result.scale_out_events;
-        report.autoscaling.scale_in_events = result.scale_in_events;
-        // Event counters (fusions, vetoes) come from the collector; the
-        // per-tier latency table only the serving layer can fill.
-        if (result.slo.enabled) {
-          report.slo.enabled = true;
-          report.slo.tiers = result.slo.tiers;
-          report.slo.per_tier = result.slo.per_tier;
-        }
+        serve::fill_serving_report(report, result);
         occupancy = report.occupancy;
         if (!config.run_report_path.empty()) {
           reports.push_back(std::move(report));

@@ -28,6 +28,7 @@
 #include "sim/engine_guard.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
+#include "sim/platform_flags.hpp"
 #include "sim/run_report.hpp"
 #include "util/flags.hpp"
 #include "workloads/workloads.hpp"
@@ -100,8 +101,8 @@ core::TaskGraph make_workload(const std::string& name, std::uint32_t n,
         {.num_tasks = n * n, .num_data = 2 * n, .min_inputs = 1,
          .max_inputs = 3, .seed = seed});
   }
-  std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
-  std::exit(1);
+  std::fprintf(stderr, "bad value for --workload: '%s'\n", name.c_str());
+  std::exit(2);
 }
 
 }  // namespace
@@ -117,17 +118,16 @@ int main(int argc, char** argv) {
   flags.define_string("workload", "matmul2d", "workload generator")
       .define_int("n", 20, "workload dimension (N)", /*min_value=*/1)
       .define_string("scheduler", "darts+luf", "scheduling policy")
-      .define_int("gpus", 1, "number of GPUs", /*min_value=*/1)
-      .define_int("mem-mb", 500, "GPU memory in MB")
       .define_int("seed", 42, "RNG seed")
       .define_double("keep", 0.02, "sparse keep fraction")
       .define_int("output-kb", 0, "output bytes per task (KB), 0 = none")
       .define_int("pipeline-depth", 4, "worker pipeline depth")
       .define_bool("sched-cost", false, "charge measured scheduler time")
       .define_bool("nvlink", false, "enable peer-to-peer transfers")
-      .define_string("speeds", "",
-                     "comma-separated per-GPU GFlop/s for heterogeneous "
-                     "platforms (overrides --gpus count)")
+      .define_list("speeds", "",
+                   "comma-separated per-GPU GFlop/s for heterogeneous "
+                   "platforms (overrides --gpus count)",
+                   {.min_exclusive = true})
       .define_bool("validate", true,
                    "check the run online against the execution model")
       .define_bool("stats", false, "print data-reuse statistics")
@@ -137,9 +137,6 @@ int main(int argc, char** argv) {
                      "archive the realized per-GPU execution order here")
       .define_string("replay-schedule", "",
                      "ignore --scheduler and replay an archived schedule")
-      .define_string("fault-plan", "",
-                     "JSON fault plan injected into the run "
-                     "(docs/ROBUSTNESS.md)")
       .define_double("checkpoint-interval", 0.0,
                      "checkpoint task progress every N simulated us of "
                      "compute (0 = off)")
@@ -148,15 +145,8 @@ int main(int argc, char** argv) {
                      "task (0 = off)")
       .define_bool("replicate-hot", false,
                    "keep a second replica of hot shared data on another GPU "
-                   "while the fault plan threatens GPU losses")
-      .define_int("nodes", 1, "cluster nodes the GPUs are split across")
-      .define_double("net-bandwidth", 12.5,
-                     "inter-node network bandwidth in GB/s (--nodes > 1)")
-      .define_double("net-latency", 25.0,
-                     "inter-node network latency in us (--nodes > 1)")
-      .define_int("host-mem-mb", 0,
-                  "per-node host cache of remote data in MB (0 = unbounded; "
-                  "--nodes > 1)");
+                   "while the fault plan threatens GPU losses");
+  sim::add_platform_flags(flags, /*default_gpus=*/1, /*default_mem_mb=*/500);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   using namespace mg;
@@ -167,32 +157,9 @@ int main(int argc, char** argv) {
       flags.get_double("keep"),
       static_cast<std::uint64_t>(flags.get_int("output-kb")) * 1000);
 
-  core::Platform platform = core::make_v100_platform(
-      static_cast<std::uint32_t>(flags.get_int("gpus")),
-      static_cast<std::uint64_t>(flags.get_int("mem-mb")) * core::kMB);
+  core::Platform platform =
+      sim::platform_from_flags(flags, flags.get_list("speeds"));
   platform.nvlink_enabled = flags.get_bool("nvlink");
-  platform.num_nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
-  platform.net_bandwidth_bytes_per_s =
-      flags.get_double("net-bandwidth") * 1e9;
-  platform.net_latency_us = flags.get_double("net-latency");
-  platform.host_memory_bytes =
-      static_cast<std::uint64_t>(flags.get_int("host-mem-mb")) * core::kMB;
-  if (!flags.get_string("speeds").empty()) {
-    std::string spec = flags.get_string("speeds");
-    std::vector<double> speeds;
-    std::size_t start = 0;
-    while (start <= spec.size()) {
-      const std::size_t comma = spec.find(',', start);
-      const std::string token =
-          spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-      if (!token.empty()) speeds.push_back(std::stod(token));
-      if (comma == std::string::npos) break;
-      start = comma + 1;
-    }
-    platform.num_gpus = static_cast<std::uint32_t>(speeds.size());
-    platform.gpu_gflops_per_device = std::move(speeds);
-  }
 
   if (!sim::mem_mb_holds_every_task(
           flags.get_int("mem-mb"), platform.gpu_memory_bytes,
@@ -207,18 +174,20 @@ int main(int argc, char** argv) {
     if (!schedule.has_value() ||
         !analysis::schedule_matches_graph(*schedule, graph) ||
         schedule->size() != platform.num_gpus) {
-      std::fprintf(stderr, "cannot replay schedule from %s\n",
+      std::fprintf(stderr,
+                   "bad value for --replay-schedule: '%s' (unreadable, or "
+                   "not a schedule of this graph and GPU count)\n",
                    flags.get_string("replay-schedule").c_str());
-      return 1;
+      return 2;
     }
     scheduler = std::make_unique<sched::FixedOrderScheduler>(*schedule);
   } else {
     scheduler = make_scheduler(flags.get_string("scheduler"));
   }
   if (scheduler == nullptr) {
-    std::fprintf(stderr, "unknown scheduler '%s'\n",
+    std::fprintf(stderr, "bad value for --scheduler: '%s'\n",
                  flags.get_string("scheduler").c_str());
-    return 1;
+    return 2;
   }
 
   sim::EngineConfig config;
@@ -231,15 +200,7 @@ int main(int argc, char** argv) {
   config.replicate_hot = flags.get_bool("replicate-hot");
 
   std::unique_ptr<sim::FaultInjector> injector;
-  const std::string fault_plan_path = flags.get_string("fault-plan");
-  if (!fault_plan_path.empty()) {
-    std::string error;
-    auto plan = sim::load_fault_plan_file(fault_plan_path, &error);
-    if (!plan.has_value()) {
-      std::fprintf(stderr, "--fault-plan %s: %s\n", fault_plan_path.c_str(),
-                   error.c_str());
-      return 2;
-    }
+  if (auto plan = sim::fault_plan_from_flags(flags)) {
     injector = std::make_unique<sim::FaultInjector>(std::move(*plan));
   }
 

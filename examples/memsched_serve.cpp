@@ -24,6 +24,7 @@
 #include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
+#include "sim/platform_flags.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
@@ -52,14 +53,6 @@ int main(int argc, char** argv) {
                       "cholesky")
       .define_int("n", 8, "template dimension (N)", /*min_value=*/1)
       .define_string("scheduler", "darts+luf", "scheduling policy")
-      .define_int("gpus", 2, "number of GPUs", /*min_value=*/1)
-      .define_int("mem-mb", 500, "GPU memory in MB")
-      .define_int("nodes", 1, "cluster nodes the GPUs are spread over")
-      .define_double("net-bandwidth", 12.5,
-                     "inter-node network bandwidth in GB/s")
-      .define_double("net-latency", 25.0, "inter-node network latency in µs")
-      .define_int("host-mem-mb", 0,
-                  "per-node host cache for remote data in MB (0 = unbounded)")
       .define_int("seed", 42, "RNG seed (arrivals and engine)")
       .define_string("arrival", "poisson", "poisson | closed-loop")
       .define_double("rate", 100.0, "Poisson arrival rate (jobs/s)")
@@ -74,20 +67,18 @@ int main(int argc, char** argv) {
                    "ablation: no cross-job data sharing")
       .define_bool("check", true,
                    "run the online InvariantChecker over the stream")
-      .define_string("fault-plan", "",
-                     "JSON fault plan injected mid-stream "
-                     "(docs/ROBUSTNESS.md)")
       .define_string("run-report", "",
                      "write the schema-v7 JSON run report (with serving "
                      "section) to this path");
   serve::add_autoscale_flags(flags);
+  sim::add_platform_flags(flags, /*default_gpus=*/2, /*default_mem_mb=*/500);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto arrival = serve::parse_arrival_mode(flags.get_string("arrival"));
   if (!arrival.has_value()) {
-    std::fprintf(stderr, "unknown --arrival '%s'\n",
+    std::fprintf(stderr, "bad value for --arrival: '%s'\n",
                  flags.get_string("arrival").c_str());
-    return 1;
+    return 2;
   }
   if (*arrival == serve::ArrivalMode::kPoisson &&
       !(flags.get_double("rate") > 0.0)) {
@@ -97,9 +88,9 @@ int main(int argc, char** argv) {
   }
   auto scheduler = make_scheduler(flags.get_string("scheduler"));
   if (scheduler == nullptr) {
-    std::fprintf(stderr, "unknown scheduler '%s'\n",
+    std::fprintf(stderr, "bad value for --scheduler: '%s'\n",
                  flags.get_string("scheduler").c_str());
-    return 1;
+    return 2;
   }
 
   std::vector<core::TaskGraph> templates;
@@ -109,24 +100,12 @@ int main(int argc, char** argv) {
   } else if (flags.get_string("workload") == "cholesky") {
     templates.push_back(work::make_cholesky_tasks({.n = n}));
   } else {
-    std::fprintf(stderr, "unknown workload '%s'\n",
+    std::fprintf(stderr, "bad value for --workload: '%s'\n",
                  flags.get_string("workload").c_str());
-    return 1;
+    return 2;
   }
 
-  core::Platform platform = core::make_v100_platform(
-      static_cast<std::uint32_t>(flags.get_int("gpus")),
-      static_cast<std::uint64_t>(flags.get_int("mem-mb")) * core::kMB);
-  platform.num_nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
-  platform.net_bandwidth_bytes_per_s =
-      flags.get_double("net-bandwidth") * 1e9;
-  platform.net_latency_us = flags.get_double("net-latency");
-  platform.host_memory_bytes =
-      static_cast<std::uint64_t>(flags.get_int("host-mem-mb")) * core::kMB;
-  if (platform.num_nodes == 0 || platform.num_nodes > platform.num_gpus) {
-    std::fprintf(stderr, "--nodes must be in 1..%u\n", platform.num_gpus);
-    return 1;
-  }
+  const core::Platform platform = sim::platform_from_flags(flags);
   if (!sim::mem_mb_holds_every_task(flags.get_int("mem-mb"),
                                     platform.gpu_memory_bytes, templates)) {
     return 2;
@@ -148,25 +127,13 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("max-queue"));
   config.share_data = !flags.get_bool("no-share");
   config.engine.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.autoscale = serve::autoscale_from_flags(flags);
+  config.autoscale = serve::autoscale_from_flags(flags, platform);
   config.engine.initial_active_nodes = serve::autoscale_initial_nodes(flags);
-  if (config.autoscale.enabled && !platform.is_cluster()) {
-    std::fprintf(stderr, "--autoscale needs --nodes >= 2\n");
-    return 1;
-  }
 
   serve::ServeEngine engine(templates, jobs, platform, *scheduler, config);
 
   std::unique_ptr<sim::FaultInjector> injector;
-  const std::string fault_plan_path = flags.get_string("fault-plan");
-  if (!fault_plan_path.empty()) {
-    std::string error;
-    auto plan = sim::load_fault_plan_file(fault_plan_path, &error);
-    if (!plan.has_value()) {
-      std::fprintf(stderr, "--fault-plan %s: %s\n", fault_plan_path.c_str(),
-                   error.c_str());
-      return 2;
-    }
+  if (auto plan = sim::fault_plan_from_flags(flags)) {
     injector = std::make_unique<sim::FaultInjector>(std::move(*plan));
     engine.set_fault_injector(injector.get());
   }
@@ -258,9 +225,7 @@ int main(int argc, char** argv) {
 
   if (collector != nullptr) {
     sim::RunReport report = collector->report();
-    report.serving = serving;
-    report.autoscaling.scale_out_events = result.scale_out_events;
-    report.autoscaling.scale_in_events = result.scale_in_events;
+    serve::fill_serving_report(report, result);
     const std::string path = flags.get_string("run-report");
     if (sim::write_run_reports({report}, "memsched_serve", path)) {
       std::printf("run report : %s\n", path.c_str());

@@ -2,12 +2,16 @@
 // (memsched_serve, fig_throughput, abl_autoscale): one place defines the
 // flags and translates them into the AutoscalerConfig +
 // EngineConfig::initial_active_nodes pair, so every binary spells the
-// elastic-serving knobs identically (docs/CLI.md).
+// elastic-serving knobs identically (docs/CLI.md). --autoscale on a
+// single-node platform is a bad flag value: the binary exits 2.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include "cluster/autoscaler.hpp"
+#include "core/platform.hpp"
 #include "util/flags.hpp"
 
 namespace mg::serve {
@@ -39,10 +43,15 @@ inline void add_autoscale_flags(util::Flags& flags) {
 }
 
 /// The policy config the flag block describes (enabled == --autoscale).
+/// Exits 2 when --autoscale is set and `platform` has a single node.
 [[nodiscard]] inline cluster::AutoscalerConfig autoscale_from_flags(
-    const util::Flags& flags) {
+    const util::Flags& flags, const core::Platform& platform) {
   cluster::AutoscalerConfig config;
   config.enabled = flags.get_bool("autoscale");
+  if (config.enabled && !platform.is_cluster()) {
+    std::fprintf(stderr, "bad value for --autoscale: needs --nodes >= 2\n");
+    std::exit(2);
+  }
   config.min_nodes =
       static_cast<std::uint32_t>(flags.get_int("autoscale-min-nodes"));
   config.max_nodes =

@@ -7,18 +7,13 @@
 
 namespace mg::serve {
 
-namespace {
-
-/// Nearest-rank percentile of an already-sorted sample.
-double percentile(const std::vector<double>& sorted, double p) {
+double nearest_rank_percentile(std::span<const double> sorted, double p) {
   if (sorted.empty()) return 0.0;
   const double rank = std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
   const std::size_t index = static_cast<std::size_t>(
       std::max(1.0, std::min(rank, static_cast<double>(sorted.size()))));
   return sorted[index - 1];
 }
-
-}  // namespace
 
 void JobTracker::bind(std::span<const std::uint32_t> task_job,
                       std::uint32_t num_jobs) {
@@ -138,9 +133,9 @@ sim::RunReport::Serving JobTracker::finalize(
   }
 
   std::sort(latencies.begin(), latencies.end());
-  serving.latency_p50_us = percentile(latencies, 50.0);
-  serving.latency_p95_us = percentile(latencies, 95.0);
-  serving.latency_p99_us = percentile(latencies, 99.0);
+  serving.latency_p50_us = nearest_rank_percentile(latencies, 50.0);
+  serving.latency_p95_us = nearest_rank_percentile(latencies, 95.0);
+  serving.latency_p99_us = nearest_rank_percentile(latencies, 99.0);
   if (!latencies.empty()) {
     double sum = 0.0;
     for (double latency : latencies) sum += latency;

@@ -21,6 +21,12 @@
 
 namespace mg::serve {
 
+/// Nearest-rank percentile `p` (0-100) of an ascending sample, 0 when it is
+/// empty: the convention of every latency percentile the serving layer and
+/// the ablations report.
+[[nodiscard]] double nearest_rank_percentile(std::span<const double> sorted,
+                                             double p);
+
 class JobTracker final : public sim::Inspector {
  public:
   /// Wires the union-graph job structure; call before the run. `task_job`

@@ -33,16 +33,6 @@ std::uint32_t planner_budget_warps(const sim::EngineConfig& config,
   return static_cast<std::uint32_t>(std::max(floor, 0.0));
 }
 
-/// Nearest-rank percentile of an already-sorted sample (the JobTracker's
-/// convention, so per-tier and overall percentiles agree).
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
-  const std::size_t index = static_cast<std::size_t>(
-      std::max(1.0, std::min(rank, static_cast<double>(sorted.size()))));
-  return sorted[index - 1];
-}
-
 }  // namespace
 
 ServeEngine::ServeEngine(std::span<const core::TaskGraph> templates,
@@ -162,9 +152,9 @@ ServeResult ServeEngine::run() {
       std::sort(sample.begin(), sample.end());
       sim::RunReport::Slo::Tier& out = result.slo.per_tier[tier];
       out.jobs = static_cast<std::uint32_t>(sample.size());
-      out.p50_us = percentile(sample, 50.0);
-      out.p95_us = percentile(sample, 95.0);
-      out.p99_us = percentile(sample, 99.0);
+      out.p50_us = nearest_rank_percentile(sample, 50.0);
+      out.p95_us = nearest_rank_percentile(sample, 95.0);
+      out.p99_us = nearest_rank_percentile(sample, 99.0);
     }
   }
   return result;
@@ -372,6 +362,17 @@ void ServeEngine::maybe_refill_closed_loop() {
   if (next_job_ >= union_.num_jobs) return;
   const std::uint32_t job = next_job_++;
   engine_.event_queue().schedule_after(0.0, [this, job] { submit(job); });
+}
+
+void fill_serving_report(sim::RunReport& report, const ServeResult& result) {
+  report.serving = result.serving;
+  report.autoscaling.scale_out_events = result.scale_out_events;
+  report.autoscaling.scale_in_events = result.scale_in_events;
+  if (result.slo.enabled) {
+    report.slo.enabled = true;
+    report.slo.tiers = result.slo.tiers;
+    report.slo.per_tier = result.slo.per_tier;
+  }
 }
 
 }  // namespace mg::serve

@@ -80,17 +80,20 @@ struct ServeResult {
   sim::RunReport::Serving serving;
 
   /// Autoscaler decisions applied this run (mirrors the run report's
-  /// autoscaling.scale_out_events / scale_in_events; callers writing a
-  /// report patch them in, like the serving section).
+  /// autoscaling.scale_out_events / scale_in_events).
   std::uint32_t scale_out_events = 0;
   std::uint32_t scale_in_events = 0;
 
   /// Per-tier latency outcomes (enabled/tiers/per_tier only — the event
-  /// counters come from a RunReportCollector riding the run; callers
-  /// writing a report patch tiers and per_tier in, like the serving
-  /// section). Zeroed when the SLO layer is off.
+  /// counters come from a RunReportCollector riding the run). Zeroed when
+  /// the SLO layer is off.
   sim::RunReport::Slo slo;
 };
+
+/// Completes a collector's report of a served run with what only the
+/// serving layer measures: the serving section, the applied scale
+/// decisions and, with SLO tiers, the per-tier latency table.
+void fill_serving_report(sim::RunReport& report, const ServeResult& result);
 
 class ServeEngine {
  public:

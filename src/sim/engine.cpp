@@ -42,7 +42,8 @@ RuntimeEngine::RuntimeEngine(const core::TaskGraph& graph,
                    platform_.gpu_gflops_per_device.size() ==
                        platform_.num_gpus,
                "per-device speeds must cover every GPU");
-  MG_CHECK_MSG(graph_.max_task_footprint() <= platform_.gpu_memory_bytes,
+  max_footprint_ = graph_.max_task_footprint();
+  MG_CHECK_MSG(max_footprint_ <= platform_.gpu_memory_bytes,
                "a task's inputs do not fit in GPU memory: no schedule exists");
   gpus_.resize(platform_.num_gpus);
   for (GpuId gpu = 0; gpu < platform_.num_gpus; ++gpu) {
@@ -203,16 +204,7 @@ void RuntimeEngine::shed_job(std::uint32_t job) {
     popped_[task] = true;  // nobody may ever pop a cancelled task
     ++completed_;          // counts towards termination, not towards metrics
     publish(InspectorEventKind::kTaskCancelled, 0, task, 0, kNoChannel, job);
-    if (replication_active_) {
-      // Cancelled consumers no longer count as planned uses.
-      for (DataId data : graph_.inputs(task)) {
-        MG_DCHECK(remaining_uses_[data] > 0);
-        if (--remaining_uses_[data] == 0 &&
-            protected_on_[data] != core::kInvalidGpu) {
-          release_protection(data, /*uses_exhausted=*/true);
-        }
-      }
-    }
+    consume_planned_uses(task);  // cancelled consumers no longer count
     if (deps_active_) dep_completed_[task] = true;
   }
   if (deps_active_) {
@@ -343,28 +335,36 @@ void RuntimeEngine::complete_rider(GpuId gpu, TaskId rider) {
   }
   publish(InspectorEventKind::kTaskStart, gpu, rider);
   publish(InspectorEventKind::kTaskEnd, gpu, rider);
-  if (replication_active_) {
-    for (DataId data : graph_.inputs(rider)) {
-      MG_DCHECK(remaining_uses_[data] > 0);
-      if (--remaining_uses_[data] == 0 &&
-          protected_on_[data] != core::kInvalidGpu) {
-        release_protection(data, /*uses_exhausted=*/true);
-      }
-    }
-  }
+  consume_planned_uses(rider);
   // The scheduler never learned of the rider, so it gets no
   // notify_task_complete call — but inspectors still see the closure.
   publish(InspectorEventKind::kNotifyTaskComplete, gpu, rider);
-  const std::uint32_t job = task_job_[rider];
+  count_job_task_done(rider);
+}
+
+void RuntimeEngine::count_job_task_done(TaskId task) {
+  const std::uint32_t job = task_job_[task];
   MG_DCHECK(job_remaining_[job] > 0);
-  if (--job_remaining_[job] == 0) {
-    job_state_[job] = JobState::kRetired;
-    ++jobs_retired_;
-    publish(InspectorEventKind::kJobComplete, 0, job, 0, kNoChannel,
-            static_cast<std::uint32_t>(job_tasks_[job].size()));
-    scheduler_.notify_job_retired(job);
-    if (job_retired_cb_) {
-      events_.schedule_after(0.0, [this, job] { job_retired_cb_(job); });
+  if (--job_remaining_[job] != 0) return;
+  job_state_[job] = JobState::kRetired;
+  ++jobs_retired_;
+  publish(InspectorEventKind::kJobComplete, 0, job, 0, kNoChannel,
+          static_cast<std::uint32_t>(job_tasks_[job].size()));
+  scheduler_.notify_job_retired(job);
+  if (job_retired_cb_) {
+    // Deferred: the callback may release or shed jobs, which must not
+    // re-enter the scheduler from inside its own notify chain.
+    events_.schedule_after(0.0, [this, job] { job_retired_cb_(job); });
+  }
+}
+
+void RuntimeEngine::consume_planned_uses(TaskId task) {
+  if (!replication_active_) return;
+  for (DataId data : graph_.inputs(task)) {
+    MG_DCHECK(remaining_uses_[data] > 0);
+    if (--remaining_uses_[data] == 0 &&
+        protected_on_[data] != core::kInvalidGpu) {
+      release_protection(data, /*uses_exhausted=*/true);
     }
   }
 }
@@ -528,15 +528,23 @@ void RuntimeEngine::request_cluster_transfer(GpuId dst, DataId data,
   }
   // PCI out of the home node's host memory, one network hop, then the fill
   // fans the data out to every waiting GPU over this node's PCI bus.
-  nodes_[home].pci->request(
-      dst, data, bytes,
-      [this, node_id, home, dst, data, bytes, priority] {
-        nodes_[home].net->request(
-            dst, data, bytes,
-            [this, node_id, dst, data, bytes] {
-              host_cache_fill(node_id, dst, data, bytes);
-            },
-            priority);
+  send_over_network(home, dst, dst, data, bytes, priority,
+                    [this, node_id, dst, data, bytes] {
+                      host_cache_fill(node_id, dst, data, bytes);
+                    });
+}
+
+void RuntimeEngine::send_over_network(core::NodeId from, GpuId pci_port,
+                                      GpuId net_port, DataId data,
+                                      std::uint64_t bytes,
+                                      TransferPriority priority,
+                                      Bus::OnComplete delivered) {
+  nodes_[from].pci->request(
+      pci_port, data, bytes,
+      [this, from, net_port, data, bytes, priority,
+       delivered = std::move(delivered)]() mutable {
+        nodes_[from].net->request(net_port, data, bytes, std::move(delivered),
+                                  priority);
       },
       priority);
 }
@@ -652,9 +660,10 @@ core::RunMetrics RuntimeEngine::run() {
     orphan_lost_at_us_.assign(graph_.num_tasks(), -1.0);
     if (config_.replicate_hot && platform_.num_gpus >= 2) {
       replication_active_ = true;
-      remaining_uses_.assign(graph_.num_data(), 0);
-      for (TaskId task = 0; task < graph_.num_tasks(); ++task) {
-        for (DataId data : graph_.inputs(task)) ++remaining_uses_[data];
+      remaining_uses_.resize(graph_.num_data());
+      for (DataId data = 0; data < graph_.num_data(); ++data) {
+        remaining_uses_[data] =
+            static_cast<std::uint32_t>(graph_.consumers(data).size());
       }
       protected_on_.assign(graph_.num_data(), core::kInvalidGpu);
     }
@@ -817,17 +826,8 @@ core::RunMetrics RuntimeEngine::run() {
                                                          "ceiling",
                     static_cast<unsigned long long>(events_.events_processed()),
                     events_.now(), completed_, graph_.num_tasks());
-      std::string message = header;
-      if (streaming_) {
-        char serving[128];
-        std::snprintf(serving, sizeof serving,
-                      "serving: %u jobs in flight (%u released, %u retired "
-                      "of %u)\n",
-                      jobs_in_flight(), jobs_released_, jobs_retired_,
-                      num_jobs_);
-        message += serving;
-      }
-      message += format_engine_state();
+      std::string message =
+          header + format_serving_state() + format_engine_state();
       if (watchdog_recent_.size() > 0) {
         message += "recent events:\n";
         message += watchdog_recent_.render();
@@ -1035,6 +1035,12 @@ void RuntimeEngine::start_task(GpuId gpu, TaskId task) {
   // once by residency.
   const bool fused = slo_active_ && !fused_riders_[task].empty();
   if (fused) base_duration *= fused_scale_[task];
+  publish(InspectorEventKind::kTaskStart, gpu, task);
+  if (fused) {
+    publish(InspectorEventKind::kSuperTaskLaunched, gpu, task,
+            static_cast<std::uint64_t>(base_duration), kNoChannel,
+            static_cast<std::uint32_t>(fused_riders_[task].size()));
+  }
   if (occupancy_active_) {
     // Join the sharing set: co-runners progress at the old rate up to now,
     // then every member's finish is rescheduled under the new membership.
@@ -1042,24 +1048,12 @@ void RuntimeEngine::start_task(GpuId gpu, TaskId task) {
     state.running_set.push_back(
         {task, base_duration,
          governor_->clamp_warps(effective_task_warps(task))});
-    publish(InspectorEventKind::kTaskStart, gpu, task);
-    if (fused) {
-      publish(InspectorEventKind::kSuperTaskLaunched, gpu, task,
-              static_cast<std::uint64_t>(base_duration), kNoChannel,
-              static_cast<std::uint32_t>(fused_riders_[task].size()));
-    }
     occ_reschedule(gpu);
     if (!state.buffer.empty()) begin_assembly(gpu);
     fill_buffer(gpu);
     return;
   }
   state.running = task;
-  publish(InspectorEventKind::kTaskStart, gpu, task);
-  if (fused) {
-    publish(InspectorEventKind::kSuperTaskLaunched, gpu, task,
-            static_cast<std::uint64_t>(base_duration), kNoChannel,
-            static_cast<std::uint32_t>(fused_riders_[task].size()));
-  }
   double duration = base_duration;
   if (checkpointing_enabled() && base_duration > 0.0) {
     // Resume from checkpointed progress: only the compute beyond the last
@@ -1213,15 +1207,7 @@ void RuntimeEngine::complete_task(GpuId gpu, TaskId task) {
     fused_scale_[task] = 0.0;
   }
   for (DataId data : graph_.inputs(task)) state.memory->unpin(data);
-  if (replication_active_) {
-    for (DataId data : graph_.inputs(task)) {
-      MG_DCHECK(remaining_uses_[data] > 0);
-      if (--remaining_uses_[data] == 0 &&
-          protected_on_[data] != core::kInvalidGpu) {
-        release_protection(data, /*uses_exhausted=*/true);
-      }
-    }
-  }
+  consume_planned_uses(task);
   // Output write-back: travels host-bound on the dedicated channel; its
   // scratch stays allocated until the transfer completes. The task itself
   // is done — write-back only delays memory reuse, not the completion.
@@ -1278,22 +1264,7 @@ void RuntimeEngine::complete_task(GpuId gpu, TaskId task) {
     scheduler_.notify_task_complete(notify_gpu, task);
     publish(InspectorEventKind::kNotifyTaskComplete, notify_gpu, task);
   }
-  if (streaming_) {
-    const std::uint32_t job = task_job_[task];
-    MG_DCHECK(job_remaining_[job] > 0);
-    if (--job_remaining_[job] == 0) {
-      job_state_[job] = JobState::kRetired;
-      ++jobs_retired_;
-      publish(InspectorEventKind::kJobComplete, 0, job, 0, kNoChannel,
-              static_cast<std::uint32_t>(job_tasks_[job].size()));
-      scheduler_.notify_job_retired(job);
-      if (job_retired_cb_) {
-        // Deferred: the callback may release or shed jobs, which must not
-        // re-enter the scheduler from inside its own notify chain.
-        events_.schedule_after(0.0, [this, job] { job_retired_cb_(job); });
-      }
-    }
-  }
+  if (streaming_) count_job_task_done(task);
   if (deps_active_) {
     dep_completed_[task] = true;
     retire_task(gpu, task);
@@ -1410,17 +1381,7 @@ void RuntimeEngine::eject_revoked(GpuId lost_gpu, TaskId task) {
     const bool was_head = it == state.buffer.begin();
     state.buffer.erase(it);
     if (was_head && state.assembly_active) {
-      // Unwind the in-flight assembly: its pins and scratch belong to a
-      // start that can no longer happen.
-      for (DataId data : state.assembly_pins) state.memory->unpin(data);
-      state.assembly_pins.clear();
-      state.assembly_active = false;
-      if (state.scratch_reserved) {
-        const std::uint64_t output_bytes = graph_.task_output_bytes(task);
-        publish(InspectorEventKind::kScratchRelease, gpu, task, output_bytes);
-        state.memory->release_scratch(output_bytes);
-        state.scratch_reserved = false;
-      }
+      abandon_assembly(gpu, task);
       if (!state.buffer.empty()) begin_assembly(gpu);
     }
     // Park it popped: the predecessor's re-retirement routes it back through
@@ -1437,6 +1398,21 @@ void RuntimeEngine::eject_revoked(GpuId lost_gpu, TaskId task) {
     if (!orphan_lost_at_us_.empty()) orphan_lost_at_us_[task] = events_.now();
     publish(InspectorEventKind::kTaskReclaimed, lost_gpu, task);
     return;
+  }
+}
+
+void RuntimeEngine::abandon_assembly(GpuId gpu, TaskId head) {
+  GpuState& state = gpus_[gpu];
+  // The assembly's pins and scratch belong to a start that can no longer
+  // happen here.
+  for (DataId data : state.assembly_pins) state.memory->unpin(data);
+  state.assembly_pins.clear();
+  state.assembly_active = false;
+  if (state.scratch_reserved) {
+    const std::uint64_t output_bytes = graph_.task_output_bytes(head);
+    publish(InspectorEventKind::kScratchRelease, gpu, head, output_bytes);
+    state.memory->release_scratch(output_bytes);
+    state.scratch_reserved = false;
   }
 }
 
@@ -1639,15 +1615,17 @@ void RuntimeEngine::throw_deadlock() const {
                   blocked, parked);
     message += deps;
   }
-  if (streaming_) {
-    char serving[128];
-    std::snprintf(serving, sizeof serving,
-                  "serving: %u jobs in flight (%u released, %u retired of "
-                  "%u)\n",
-                  jobs_in_flight(), jobs_released_, jobs_retired_, num_jobs_);
-    message += serving;
-  }
-  throw DeadlockError(message + format_engine_state());
+  throw DeadlockError(message + format_serving_state() +
+                      format_engine_state());
+}
+
+std::string RuntimeEngine::format_serving_state() const {
+  if (!streaming_) return {};
+  char line[128];
+  std::snprintf(line, sizeof line,
+                "serving: %u jobs in flight (%u released, %u retired of %u)\n",
+                jobs_in_flight(), jobs_released_, jobs_retired_, num_jobs_);
+  return line;
 }
 
 void RuntimeEngine::schedule_faults() {
@@ -1723,33 +1701,13 @@ void RuntimeEngine::fail_gpu(GpuId gpu) {
   // before orphans are collected, so uncompleted riders re-dispatch as
   // ordinary tasks on the survivors.
   unfuse_all();
-  state.alive = false;
-  --alive_gpus_;
-  ++fault_metrics_.gpu_losses;
-
-  // Reclaim the interrupted running task (its finish event turns stale and
-  // is ignored) and every buffered task, in pop order. In occupancy mode
-  // the whole co-running set is interrupted at once.
   std::vector<TaskId> orphans;
-  if (occupancy_active_) {
-    occ_reclaim_running(gpu, orphans);
-  } else if (state.running != kInvalidTask) {
-    state.busy_us -= std::max(0.0, state.running_until_us - events_.now());
-    orphans.push_back(state.running);
-    state.running = kInvalidTask;
-  }
-  for (TaskId task : state.buffer) orphans.push_back(task);
-  state.buffer.clear();
-  state.assembly_active = false;
-  state.scratch_reserved = false;
-  state.assembly_pins.clear();
-  state.hint_queue.clear();
-  state.starved = false;
+  stop_gpu(gpu, orphans);
 
   // Tasks to re-run because of this loss: buffered/running orphans plus —
   // on a dependency-gated run — completions whose write-back never drained.
-  const std::uint32_t lost_tasks = static_cast<std::uint32_t>(
-      orphans.size() + (deps_active_ ? state.undurable.size() : 0));
+  const auto lost_tasks =
+      static_cast<std::uint32_t>(orphans.size() + state.undurable.size());
   publish(InspectorEventKind::kGpuLost, gpu, 0, state.memory->used_bytes(),
           kNoChannel, lost_tasks);
   MG_TRACE("gpu%u lost at t=%.1fus, %zu orphans", gpu, events_.now(),
@@ -1783,22 +1741,8 @@ void RuntimeEngine::fail_gpu(GpuId gpu) {
     fetch_from_peer_[gpu].assign(graph_.num_data(), 0);
   }
 
-  for (TaskId task : orphans) {
-    MG_DCHECK(popped_[task]);
-    popped_[task] = false;  // the task will legitimately be popped again
-    ++fault_metrics_.tasks_reclaimed;
-    if (!orphan_lost_at_us_.empty()) orphan_lost_at_us_[task] = events_.now();
-    publish(InspectorEventKind::kTaskReclaimed, gpu, task);
-  }
-  if (deps_active_ && !state.undurable.empty()) {
-    // Completions whose output write-back never drained died with the GPU:
-    // their effects were not durable, so they un-retire, revoke the
-    // enablements they granted and re-run on survivors — ahead of any
-    // orphaned successor, which stays parked until the re-run retires.
-    const std::vector<TaskId> undurable = std::move(state.undurable);
-    state.undurable.clear();
-    for (TaskId task : undurable) unretire_task(gpu, task);
-  }
+  for (TaskId task : orphans) reclaim_orphan(gpu, task);
+  unretire_undurable(gpu);
   if (replication_active_) {
     // The dead GPU's protections (if any) died with its residency.
     for (DataId data = 0; data < graph_.num_data(); ++data) {
@@ -1834,13 +1778,55 @@ void RuntimeEngine::fail_gpu(GpuId gpu) {
   }
 }
 
+void RuntimeEngine::stop_gpu(GpuId gpu, std::vector<TaskId>& orphans) {
+  GpuState& state = gpus_[gpu];
+  state.alive = false;
+  --alive_gpus_;
+  ++fault_metrics_.gpu_losses;
+  // Reclaim the interrupted running task (its finish event turns stale and
+  // is ignored) and every buffered task, in pop order. In occupancy mode
+  // the whole co-running set is interrupted at once.
+  if (occupancy_active_) {
+    occ_reclaim_running(gpu, orphans);
+  } else if (state.running != kInvalidTask) {
+    state.busy_us -= std::max(0.0, state.running_until_us - events_.now());
+    orphans.push_back(state.running);
+    state.running = kInvalidTask;
+  }
+  for (TaskId task : state.buffer) orphans.push_back(task);
+  state.buffer.clear();
+  state.assembly_active = false;
+  state.scratch_reserved = false;
+  state.assembly_pins.clear();
+  state.hint_queue.clear();
+  state.starved = false;
+}
+
+void RuntimeEngine::reclaim_orphan(GpuId gpu, TaskId task) {
+  MG_DCHECK(popped_[task]);
+  popped_[task] = false;  // the task will legitimately be popped again
+  ++fault_metrics_.tasks_reclaimed;
+  if (!orphan_lost_at_us_.empty()) orphan_lost_at_us_[task] = events_.now();
+  publish(InspectorEventKind::kTaskReclaimed, gpu, task);
+}
+
+void RuntimeEngine::unretire_undurable(GpuId gpu) {
+  // Completions whose output write-back never drained died with the GPU:
+  // their effects were not durable, so they un-retire, revoke the
+  // enablements they granted and re-run on survivors — ahead of any
+  // orphaned successor, which stays parked until the re-run retires.
+  const std::vector<TaskId> undurable = std::move(gpus_[gpu].undurable);
+  gpus_[gpu].undurable.clear();
+  for (TaskId task : undurable) unretire_task(gpu, task);
+}
+
 void RuntimeEngine::apply_capacity_shock(GpuId gpu,
                                          std::uint64_t capacity_bytes) {
   GpuState& state = gpus_[gpu];
   if (!state.alive) return;  // shocks on a dead GPU are moot
   ++fault_metrics_.capacity_shocks;
-  const std::uint64_t floor = min_safe_capacity();
-  const std::uint64_t effective = std::max(capacity_bytes, floor);
+  // Never below the largest task footprint: every task must still fit.
+  const std::uint64_t effective = std::max(capacity_bytes, max_footprint_);
   publish(InspectorEventKind::kCapacityShock, gpu, 0, effective, kNoChannel,
           effective != capacity_bytes ? 1 : 0);
   MG_TRACE("gpu%u capacity shock to %llu bytes at t=%.1fus", gpu,
@@ -1888,21 +1874,7 @@ void RuntimeEngine::begin_node_drain(core::NodeId node) {
     GpuState& state = gpus_[gpu];
     state.active = false;
     if (!state.alive) continue;  // an earlier GPU loss already emptied it
-    if (state.assembly_active) {
-      // Unwind the in-flight assembly: its pins and scratch belong to a
-      // start that can no longer happen here.
-      for (DataId data : state.assembly_pins) state.memory->unpin(data);
-      state.assembly_pins.clear();
-      state.assembly_active = false;
-      if (state.scratch_reserved) {
-        const std::uint64_t output_bytes =
-            graph_.task_output_bytes(state.buffer.front());
-        publish(InspectorEventKind::kScratchRelease, gpu, state.buffer.front(),
-                output_bytes);
-        state.memory->release_scratch(output_bytes);
-        state.scratch_reserved = false;
-      }
-    }
+    if (state.assembly_active) abandon_assembly(gpu, state.buffer.front());
     for (TaskId task : state.buffer) pulled.emplace_back(gpu, task);
     state.buffer.clear();
     state.hint_queue.clear();
@@ -1930,31 +1902,13 @@ void RuntimeEngine::begin_node_drain(core::NodeId node) {
   }
 
   start_data_migrations(node);
-
-  // Wake the survivors: the pulled tasks may be startable right now.
-  for (GpuId other = 0; other < platform_.num_gpus; ++other) {
-    if (!gpus_[other].alive || !gpus_[other].active) continue;
-    fill_buffer(other);
-    pump_hints(other);
-    try_start(other);
-  }
+  wake_serving_gpus();  // the pulled tasks may be startable right now
   // An idle node with nothing homed on it retires immediately.
   maybe_finish_drain(node);
 }
 
 void RuntimeEngine::start_data_migrations(core::NodeId node) {
-  if (home_override_.empty()) {
-    home_override_.resize(graph_.num_data());
-    for (DataId data = 0; data < graph_.num_data(); ++data) {
-      home_override_[data] = platform_.home_node_of(data);
-    }
-  }
-  // New homes round-robin over the serving set.
-  std::vector<core::NodeId> targets;
-  for (core::NodeId other = 0; other < platform_.num_nodes; ++other) {
-    if (node_status_[other] == NodeStatus::kActive) targets.push_back(other);
-  }
-  MG_CHECK_MSG(!targets.empty(), "no serving node left to migrate to");
+  const std::vector<core::NodeId> targets = serving_nodes_for_rehome();
   const GpuId port = platform_.node_gpu_begin(node);  // stand-in for the host
   std::size_t next = 0;
   for (DataId data = 0; data < graph_.num_data(); ++data) {
@@ -1971,23 +1925,55 @@ void RuntimeEngine::start_data_migrations(core::NodeId node) {
     // degrade or park it; dormant runs keep the historical self-addressing.
     const GpuId net_port =
         netfault_active_ ? platform_.node_gpu_begin(dst) : port;
-    nodes_[node].pci->request(
-        port, data, bytes, [this, node, dst, net_port, port, data, bytes] {
-          nodes_[node].net->request(
-              net_port, data, bytes, [this, node, dst, port, data, bytes] {
-                home_override_[data] = dst;
-                publish(InspectorEventKind::kDataMigrated, port, data, bytes,
-                        kNoChannel, dst);
-                MG_DCHECK(drain_migrations_left_[node] > 0);
-                --drain_migrations_left_[node];
-                maybe_finish_drain(node);
-              });
-        });
+    send_over_network(node, port, net_port, data, bytes,
+                      TransferPriority::kHigh,
+                      [this, node, dst, port, data, bytes] {
+                        home_override_[data] = dst;
+                        publish(InspectorEventKind::kDataMigrated, port, data,
+                                bytes, kNoChannel, dst);
+                        MG_DCHECK(drain_migrations_left_[node] > 0);
+                        --drain_migrations_left_[node];
+                        maybe_finish_drain(node);
+                      });
   }
 }
 
+std::vector<core::NodeId> RuntimeEngine::serving_nodes_for_rehome() {
+  if (home_override_.empty()) {
+    home_override_.resize(graph_.num_data());
+    for (DataId data = 0; data < graph_.num_data(); ++data) {
+      home_override_[data] = platform_.home_node_of(data);
+    }
+  }
+  std::vector<core::NodeId> targets;
+  for (core::NodeId other = 0; other < platform_.num_nodes; ++other) {
+    if (node_status_[other] == NodeStatus::kActive) targets.push_back(other);
+  }
+  MG_CHECK_MSG(!targets.empty(), "no serving node left to re-home onto");
+  return targets;
+}
+
+void RuntimeEngine::wake_serving_gpus() {
+  for (GpuId gpu = 0; gpu < platform_.num_gpus; ++gpu) {
+    if (!gpus_[gpu].alive || !gpus_[gpu].active) continue;
+    fill_buffer(gpu);
+    pump_hints(gpu);
+    try_start(gpu);
+  }
+}
+
+bool RuntimeEngine::serves_outside(core::NodeId node) const {
+  for (GpuId gpu = 0; gpu < platform_.num_gpus; ++gpu) {
+    if (platform_.node_of(gpu) != node && gpus_[gpu].alive &&
+        gpus_[gpu].active) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void RuntimeEngine::maybe_finish_drain(core::NodeId node) {
-  if (!topology_active_ || node_status_[node] != NodeStatus::kDraining) return;
+  if (node_status(node) != NodeStatus::kDraining) return;
   if (drain_migrations_left_[node] != 0) return;
   for (GpuId gpu = platform_.node_gpu_begin(node);
        gpu < platform_.node_gpu_end(node); ++gpu) {
@@ -2039,15 +2025,13 @@ void RuntimeEngine::begin_node_join(core::NodeId node) {
   // before its GPUs take traffic, so the first tasks placed there do not all
   // stall on cold remote fetches.
   constexpr std::size_t kWarmSetSize = 8;
-  std::vector<std::uint32_t> consumers(graph_.num_data(), 0);
-  for (TaskId task = 0; task < graph_.num_tasks(); ++task) {
-    for (DataId data : graph_.inputs(task)) ++consumers[data];
-  }
   std::vector<std::pair<std::uint32_t, DataId>> hot;
   for (DataId data = 0; data < graph_.num_data(); ++data) {
-    if (consumers[data] < 2) continue;       // not shared: fetch on demand
+    const auto consumers =
+        static_cast<std::uint32_t>(graph_.consumers(data).size());
+    if (consumers < 2) continue;             // not shared: fetch on demand
     if (home_node(data) == node) continue;   // home shards are already local
-    hot.emplace_back(consumers[data], data);
+    hot.emplace_back(consumers, data);
   }
   std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
     return a.first != b.first ? a.first > b.first : a.second < b.second;
@@ -2076,16 +2060,12 @@ void RuntimeEngine::begin_node_join(core::NodeId node) {
   const GpuId port = platform_.node_gpu_begin(node);  // stand-in for the host
   for (DataId data : warm_set) {
     const std::uint64_t bytes = graph_.data_size(data);
-    const core::NodeId home = home_node(data);
     // Same wire shape as a remote fetch — home PCI out, home network egress —
     // but it lands as a warm fill, not a demand-driven host-cache fill.
-    nodes_[home].pci->request(
-        port, data, bytes, [this, node, home, port, data, bytes] {
-          nodes_[home].net->request(
-              port, data, bytes, [this, node, data, bytes] {
-                finish_warm_fill(node, data, bytes);
-              });
-        });
+    send_over_network(home_node(data), port, port, data, bytes,
+                      TransferPriority::kHigh, [this, node, data, bytes] {
+                        finish_warm_fill(node, data, bytes);
+                      });
   }
 }
 
@@ -2133,15 +2113,7 @@ void RuntimeEngine::fail_node(core::NodeId node) {
   if (node_status_[node] == NodeStatus::kLost) return;
   unfuse_all();  // recovery sees member granularity, never fused batches
   // At least one serving GPU must survive outside the node.
-  bool survivor_serving = false;
-  for (GpuId gpu = 0; gpu < platform_.num_gpus; ++gpu) {
-    if (platform_.node_of(gpu) == node) continue;
-    if (gpus_[gpu].alive && gpus_[gpu].active) {
-      survivor_serving = true;
-      break;
-    }
-  }
-  if (!survivor_serving) {
+  if (!serves_outside(node)) {
     throw EngineError(
         "fault plan lost the last serving node; no active GPU left to finish "
         "the workload");
@@ -2149,11 +2121,11 @@ void RuntimeEngine::fail_node(core::NodeId node) {
   if (node_status_[node] == NodeStatus::kActive) --active_node_count_;
   node_status_[node] = NodeStatus::kLost;
 
-  // Tear every GPU of the node down at once — fail_gpu's reclaim, compressed
-  // into one recovery pass with a single node-level announcement.
+  // Tear every GPU of the node down at once, as fail_gpu does one, with a
+  // single node-level announcement before the orphans are handed back.
   std::vector<GpuId> node_gpus;
-  std::vector<std::pair<GpuId, TaskId>> orphan_sites;
-  std::vector<GpuId> undurable_gpus;
+  std::vector<TaskId> orphans;
+  std::vector<GpuId> orphan_gpus;  // the GPU each orphan was taken from
   std::uint64_t used_bytes = 0;
   std::uint32_t undurable_count = 0;
   for (GpuId gpu = platform_.node_gpu_begin(node);
@@ -2161,31 +2133,11 @@ void RuntimeEngine::fail_node(core::NodeId node) {
     node_gpus.push_back(gpu);
     GpuState& state = gpus_[gpu];
     if (!state.alive) continue;  // an earlier GPU loss already took it
-    state.alive = false;
+    stop_gpu(gpu, orphans);
     state.active = false;
-    --alive_gpus_;
-    ++fault_metrics_.gpu_losses;
-    if (occupancy_active_) {
-      std::vector<TaskId> running_orphans;
-      occ_reclaim_running(gpu, running_orphans);
-      for (TaskId task : running_orphans) orphan_sites.emplace_back(gpu, task);
-    } else if (state.running != kInvalidTask) {
-      state.busy_us -= std::max(0.0, state.running_until_us - events_.now());
-      orphan_sites.emplace_back(gpu, state.running);
-      state.running = kInvalidTask;
-    }
-    for (TaskId task : state.buffer) orphan_sites.emplace_back(gpu, task);
-    state.buffer.clear();
-    state.assembly_active = false;
-    state.scratch_reserved = false;
-    state.assembly_pins.clear();
-    state.hint_queue.clear();
-    state.starved = false;
+    orphan_gpus.resize(orphans.size(), gpu);
     used_bytes += state.memory->used_bytes();
-    if (deps_active_) {
-      undurable_count += static_cast<std::uint32_t>(state.undurable.size());
-      if (!state.undurable.empty()) undurable_gpus.push_back(gpu);
-    }
+    undurable_count += static_cast<std::uint32_t>(state.undurable.size());
     state.memory->deactivate();
     if (platform_.nvlink_enabled) fetch_from_peer_[gpu].assign(graph_.num_data(), 0);
   }
@@ -2198,29 +2150,16 @@ void RuntimeEngine::fail_node(core::NodeId node) {
   host.cached_bytes = 0;
 
   const std::uint32_t lost_tasks =
-      static_cast<std::uint32_t>(orphan_sites.size()) + undurable_count;
+      static_cast<std::uint32_t>(orphans.size()) + undurable_count;
   publish(InspectorEventKind::kNodeLost, platform_.node_gpu_begin(node), node,
           used_bytes, kNoChannel, lost_tasks);
   MG_TRACE("node%u lost at t=%.1fus, %zu orphans", node, events_.now(),
-           orphan_sites.size());
+           orphans.size());
 
-  std::vector<TaskId> orphans;
-  orphans.reserve(orphan_sites.size());
-  for (const auto& [gpu, task] : orphan_sites) {
-    MG_DCHECK(popped_[task]);
-    popped_[task] = false;
-    ++fault_metrics_.tasks_reclaimed;
-    if (!orphan_lost_at_us_.empty()) orphan_lost_at_us_[task] = events_.now();
-    publish(InspectorEventKind::kTaskReclaimed, gpu, task);
-    orphans.push_back(task);
+  for (std::size_t i = 0; i < orphans.size(); ++i) {
+    reclaim_orphan(orphan_gpus[i], orphans[i]);
   }
-  for (GpuId gpu : undurable_gpus) {
-    // Completions whose write-back never drained died with the node (see
-    // fail_gpu): they un-retire and re-run ahead of orphaned successors.
-    const std::vector<TaskId> undurable = std::move(gpus_[gpu].undurable);
-    gpus_[gpu].undurable.clear();
-    for (TaskId task : undurable) unretire_task(gpu, task);
-  }
+  for (GpuId gpu : node_gpus) unretire_undurable(gpu);
   if (replication_active_) {
     for (DataId data = 0; data < graph_.num_data(); ++data) {
       if (protected_on_[data] != core::kInvalidGpu &&
@@ -2234,17 +2173,7 @@ void RuntimeEngine::fail_node(core::NodeId node) {
   // Shards homed on the lost node re-home instantly: host memory is modeled
   // as durably backed (the same cluster store drains and joins ride), so
   // only device-side progress is lost. No migration events — no bytes move.
-  if (home_override_.empty()) {
-    home_override_.resize(graph_.num_data());
-    for (DataId data = 0; data < graph_.num_data(); ++data) {
-      home_override_[data] = platform_.home_node_of(data);
-    }
-  }
-  std::vector<core::NodeId> targets;
-  for (core::NodeId other = 0; other < platform_.num_nodes; ++other) {
-    if (node_status_[other] == NodeStatus::kActive) targets.push_back(other);
-  }
-  MG_CHECK_MSG(!targets.empty(), "no serving node left to re-home onto");
+  const std::vector<core::NodeId> targets = serving_nodes_for_rehome();
   std::size_t next = 0;
   for (DataId data = 0; data < graph_.num_data(); ++data) {
     if (home_override_[data] == node) {
@@ -2282,13 +2211,7 @@ void RuntimeEngine::fail_node(core::NodeId node) {
   if (!adopted) {
     for (TaskId task : orphans) reclaimed_.push_back(task);
   }
-
-  for (GpuId other = 0; other < platform_.num_gpus; ++other) {
-    if (!gpus_[other].alive || !gpus_[other].active) continue;
-    fill_buffer(other);
-    pump_hints(other);
-    try_start(other);
-  }
+  wake_serving_gpus();
 }
 
 // ---- Network faults: link windows, hedged fetches, suspicion ---------------
@@ -2412,17 +2335,10 @@ void RuntimeEngine::issue_net_fetch(core::NodeId dest, core::NodeId source,
                                     TransferPriority priority) {
   // The same two-leg chain as an untimed fetch, but the delivery routes
   // through the dedup gate so a losing duplicate cannot double-fill.
-  nodes_[source].pci->request(
-      dst, data, bytes,
-      [this, dest, source, dst, data, bytes, priority] {
-        nodes_[source].net->request(
-            dst, data, bytes,
-            [this, dest, source, dst, data, bytes] {
-              net_fetch_delivered(dest, source, dst, data, bytes);
-            },
-            priority);
-      },
-      priority);
+  send_over_network(source, dst, dst, data, bytes, priority,
+                    [this, dest, source, dst, data, bytes] {
+                      net_fetch_delivered(dest, source, dst, data, bytes);
+                    });
 }
 
 void RuntimeEngine::net_fetch_delivered(core::NodeId dest, core::NodeId source,
@@ -2459,7 +2375,7 @@ void RuntimeEngine::on_fetch_deadline(core::NodeId dest, DataId data,
   NetFetchState& fetch = net_fetch_[dest][data];
   if (fetch.generation != generation) return;  // delivered or re-issued
   if (nodes_[dest].net_fetching[data] == 0) return;  // already served
-  if (topology_active_ && node_status_[dest] == NodeStatus::kLost) {
+  if (node_status(dest) == NodeStatus::kLost) {
     return;  // the waiters died with their node; nothing left to serve
   }
   fetch.timed_out = 1;
@@ -2526,7 +2442,7 @@ core::NodeId RuntimeEngine::pick_hedge_source(core::NodeId dest, DataId data,
 void RuntimeEngine::suspect_node(core::NodeId node) {
   ++node_timeout_count_[node];
   if (node_suspected_[node] != 0) return;
-  if (topology_active_ && node_status_[node] == NodeStatus::kLost) return;
+  if (node_status(node) == NodeStatus::kLost) return;
   node_suspected_[node] = 1;
   publish(InspectorEventKind::kNodeSuspected, platform_.node_gpu_begin(node),
           node, 0, kNoChannel, node_timeout_count_[node]);
@@ -2543,7 +2459,7 @@ void RuntimeEngine::suspect_node(core::NodeId node) {
 
 void RuntimeEngine::clear_suspicion(core::NodeId node) {
   if (node_suspected_[node] == 0) return;
-  if (topology_active_ && node_status_[node] == NodeStatus::kLost) return;
+  if (node_status(node) == NodeStatus::kLost) return;
   node_suspected_[node] = 0;
   ++suspicion_epoch_[node];  // a pending confirm window must not escalate
   publish(InspectorEventKind::kNodeSuspicionCleared,
@@ -2554,18 +2470,10 @@ void RuntimeEngine::clear_suspicion(core::NodeId node) {
 
 void RuntimeEngine::escalate_suspicion(core::NodeId node, std::uint32_t epoch) {
   if (suspicion_epoch_[node] != epoch || node_suspected_[node] == 0) return;
-  if (topology_active_ && node_status_[node] == NodeStatus::kLost) return;
+  if (node_status(node) == NodeStatus::kLost) return;
   // Never escalate the last serving capacity away — fail_node would throw.
   // The node stays suspected; a heal can still clear it.
-  bool survivor_serving = false;
-  for (GpuId gpu = 0; gpu < platform_.num_gpus; ++gpu) {
-    if (platform_.node_of(gpu) == node) continue;
-    if (gpus_[gpu].alive && gpus_[gpu].active) {
-      survivor_serving = true;
-      break;
-    }
-  }
-  if (!survivor_serving) return;
+  if (!serves_outside(node)) return;
   publish(InspectorEventKind::kNodeSuspicionEscalated,
           platform_.node_gpu_begin(node), node, 0, kNoChannel,
           static_cast<std::uint32_t>(config_.suspicion_confirm_window_us));
@@ -2704,20 +2612,6 @@ void RuntimeEngine::release_protection(DataId data, bool uses_exhausted) {
   publish(InspectorEventKind::kReplicaRelease, holder, data,
           graph_.data_size(data), kNoChannel, uses_exhausted ? 1 : 0);
   gpus_[holder].memory->unprotect(data);
-}
-
-std::uint64_t RuntimeEngine::min_safe_capacity() {
-  if (min_safe_capacity_ == 0) {
-    for (TaskId task = 0; task < graph_.num_tasks(); ++task) {
-      std::uint64_t footprint = graph_.task_output_bytes(task);
-      for (DataId data : graph_.inputs(task)) {
-        footprint += graph_.data_size(data);
-      }
-      min_safe_capacity_ = std::max(min_safe_capacity_, footprint);
-    }
-    if (min_safe_capacity_ == 0) min_safe_capacity_ = 1;
-  }
-  return min_safe_capacity_;
 }
 
 }  // namespace mg::sim

@@ -320,6 +320,8 @@ class RuntimeEngine final : private MemoryManager::Observer,
   /// successors whose last predecessor it was, unparks waiting orphans and
   /// wakes the workers.
   void retire_task(core::GpuId gpu, core::TaskId task);
+  /// Counts one finished task of its job; the last one retires the job.
+  void count_job_task_done(core::TaskId task);
 
   /// Rolls back the non-durable completion of `task` on dead `gpu`: its
   /// completion counters unwind, enablements it granted are revoked, and it
@@ -332,6 +334,8 @@ class RuntimeEngine final : private MemoryManager::Observer,
   /// only the head of a pipeline can start. `lost_gpu` is the dead GPU whose
   /// un-retirement triggered the revocation (reclaim attribution).
   void eject_revoked(core::GpuId lost_gpu, core::TaskId task);
+  /// Unpins the inputs of `gpu`'s assembling head and releases its scratch.
+  void abandon_assembly(core::GpuId gpu, core::TaskId head);
 
   /// Issues queued push-time prefetch hints while the GPU has free memory
   /// (hints never evict); called whenever memory is freed.
@@ -377,11 +381,21 @@ class RuntimeEngine final : private MemoryManager::Observer,
   void retry_starved();
   [[noreturn]] void throw_deadlock() const;
   [[nodiscard]] std::string format_engine_state() const;
+  /// The "serving:" line of the watchdog and deadlock messages ("" unless
+  /// streaming).
+  [[nodiscard]] std::string format_serving_state() const;
 
   // Fault-injection recovery paths.
   void schedule_faults();
   void attach_fault_hooks();
   void fail_gpu(core::GpuId gpu);
+  /// Marks `gpu` dead and empties its pipeline: the running task (or
+  /// co-running set) and every buffered task join `orphans`, in pop order.
+  void stop_gpu(core::GpuId gpu, std::vector<core::TaskId>& orphans);
+  /// Hands one orphan taken from dead `gpu` back for re-dispatch.
+  void reclaim_orphan(core::GpuId gpu, core::TaskId task);
+  /// Un-retires the completions of dead `gpu` whose write-back never drained.
+  void unretire_undurable(core::GpuId gpu);
   /// Unplanned whole-node loss (fault plan `node_losses`): kills every GPU of
   /// the node in one recovery pass (single kNodeLost event, one
   /// notify_node_lost) and instantly re-homes its host shards — host data is
@@ -405,14 +419,18 @@ class RuntimeEngine final : private MemoryManager::Observer,
   /// migration done).
   void maybe_finish_drain(core::NodeId node);
   void finish_node_drain(core::NodeId node);
+  /// Serving nodes, the round-robin targets of re-homed shards (sets up the
+  /// home override on first use).
+  [[nodiscard]] std::vector<core::NodeId> serving_nodes_for_rehome();
+  /// True if an alive, active GPU serves outside `node`.
+  [[nodiscard]] bool serves_outside(core::NodeId node) const;
+  /// Pulls work into every alive, active GPU and tries to start it.
+  void wake_serving_gpus();
   /// Lands one warm-up fill on a joining node; activates it when the last
   /// fill (or none were needed) is in.
   void finish_warm_fill(core::NodeId node, core::DataId data,
                         std::uint64_t bytes);
   void activate_node(core::NodeId node, std::uint32_t fills);
-  /// Smallest capacity at which every task can still assemble (inputs +
-  /// output scratch); capacity shocks are clamped to it. Computed lazily.
-  [[nodiscard]] std::uint64_t min_safe_capacity();
 
   // Proactive fault tolerance (checkpointing / replication).
   [[nodiscard]] bool checkpointing_enabled() const {
@@ -435,6 +453,9 @@ class RuntimeEngine final : private MemoryManager::Observer,
   /// protected, after `gpu` died.
   void protect_sole_survivors(core::GpuId dead_gpu);
   void release_protection(core::DataId data, bool uses_exhausted);
+  /// Takes `task` off its inputs' remaining planned uses (the replication
+  /// look-ahead); a data whose uses run out loses its replica protection.
+  void consume_planned_uses(core::TaskId task);
 
   // MemoryManager::Observer
   void on_data_loaded(core::GpuId gpu, core::DataId data) override;
@@ -489,6 +510,13 @@ class RuntimeEngine final : private MemoryManager::Observer,
                                 std::function<void()> on_complete,
                                 TransferPriority priority);
 
+  /// Sends `data` from node `from`'s host: its PCI bus (addressed to
+  /// `pci_port`), then its network egress (to `net_port`), then `delivered`.
+  void send_over_network(core::NodeId from, core::GpuId pci_port,
+                         core::GpuId net_port, core::DataId data,
+                         std::uint64_t bytes, TransferPriority priority,
+                         Bus::OnComplete delivered);
+
   /// The network hop of (node, data) completed: cache the data in the
   /// node's host memory (evicting LRU entries under a bounded budget) and
   /// issue the PCI-in leg for every waiting GPU.
@@ -513,6 +541,9 @@ class RuntimeEngine final : private MemoryManager::Observer,
   core::Platform platform_;
   core::Scheduler& scheduler_;
   EngineConfig config_;
+  /// Largest task footprint (inputs + output scratch): the smallest memory
+  /// every task fits in, so capacity shocks are clamped to it.
+  std::uint64_t max_footprint_ = 0;
 
   EventQueue events_;
   Bus bus_;
@@ -563,7 +594,6 @@ class RuntimeEngine final : private MemoryManager::Observer,
   /// ahead of further pop_task calls.
   std::deque<core::TaskId> reclaimed_;
   std::uint32_t alive_gpus_ = 0;
-  std::uint64_t min_safe_capacity_ = 0;  ///< 0 = not yet computed
   core::FaultMetrics fault_metrics_;
 
   // Elastic autoscaling state. Allocated only when the topology actually

@@ -2,9 +2,10 @@
 //
 // Every driver binary follows the same convention: an EngineError
 // (deadlock, watchdog budget, invalid fault plan) prints one diagnostic
-// line to stderr and exits with status 3 — distinct from bad usage (1) and
-// unreadable inputs (2), so scripts and CI can tell a wedged schedule from
-// a mistyped flag. This header is the single definition of that behaviour.
+// line to stderr and exits with status 3 — distinct from a flag error (2:
+// an unknown flag, or a bad, missing or unreadable value) and a failed
+// check (1), so scripts and CI can tell a wedged schedule from a mistyped
+// flag. This header is the single definition of that behaviour.
 // It also checks, before any engine exists, the one engine precondition a
 // flag decides alone: --mem-mb must hold the largest task footprint. A value
 // below it is a bad flag value (exit 2), not an engine abort.

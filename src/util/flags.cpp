@@ -1,5 +1,6 @@
 #include "util/flags.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -8,44 +9,97 @@
 
 namespace mg::util {
 
+namespace {
+
+/// Splits `text` at commas into numbers, skipping empty entries; throws
+/// std::invalid_argument when an entry is not a number through and through.
+std::vector<double> split_numbers(const std::string& text) {
+  std::vector<double> values;
+  for (std::size_t start = 0; start <= text.size();) {
+    std::size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    const std::string token = text.substr(start, comma - start);
+    if (!token.empty()) {
+      std::size_t parsed = 0;
+      values.push_back(std::stod(token, &parsed));
+      if (parsed != token.size()) throw std::invalid_argument("trailing");
+    }
+    start = comma + 1;
+  }
+  return values;
+}
+
+/// Why `values` do not fit a list flag, or "" when they do.
+std::string list_problem(const std::vector<double>& values,
+                         const ListRange& range, bool optional) {
+  if (values.empty() && !optional) return "at least one entry";
+  for (const double value : values) {
+    const bool kind = std::isfinite(value) &&
+                      (!range.integral || value == std::floor(value));
+    const bool above =
+        range.min_exclusive ? value > range.min : value >= range.min;
+    if (kind && above) continue;
+    char text[64];
+    std::snprintf(text, sizeof text, "%s numbers, each %s %g",
+                  range.integral ? "whole" : "finite",
+                  range.min_exclusive ? "above" : "at least", range.min);
+    return text;
+  }
+  return "";
+}
+
+}  // namespace
+
 Flags::Flags(std::string program_description)
     : description_(std::move(program_description)) {}
 
+Flags::Entry& Flags::add(const std::string& name, Kind kind,
+                         const std::string& help) {
+  Entry entry;
+  entry.kind = kind;
+  entry.help = help;
+  const auto [it, inserted] = entries_.emplace(name, std::move(entry));
+  MG_CHECK_MSG(inserted, "duplicate flag definition");
+  return it->second;
+}
+
 Flags& Flags::define_int(const std::string& name, std::int64_t default_value,
                          const std::string& help, std::int64_t min_value) {
-  Entry entry{Kind::kInt, help, 0, 0, 0.0, false, {}};
+  Entry& entry = add(name, Kind::kInt, help);
   entry.int_value = default_value;
   entry.int_min = min_value;
-  MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
-               "duplicate flag definition");
   return *this;
 }
 
 Flags& Flags::define_double(const std::string& name, double default_value,
                             const std::string& help) {
-  Entry entry{Kind::kDouble, help, 0, 0, 0.0, false, {}};
-  entry.double_value = default_value;
-  MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
-               "duplicate flag definition");
+  add(name, Kind::kDouble, help).double_value = default_value;
   return *this;
 }
 
 Flags& Flags::define_bool(const std::string& name, bool default_value,
                           const std::string& help) {
-  Entry entry{Kind::kBool, help, 0, 0, 0.0, false, {}};
-  entry.bool_value = default_value;
-  MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
-               "duplicate flag definition");
+  add(name, Kind::kBool, help).bool_value = default_value;
   return *this;
 }
 
 Flags& Flags::define_string(const std::string& name,
                             const std::string& default_value,
                             const std::string& help) {
-  Entry entry{Kind::kString, help, 0, 0, 0.0, false, {}};
+  add(name, Kind::kString, help).string_value = default_value;
+  return *this;
+}
+
+Flags& Flags::define_list(const std::string& name,
+                          const std::string& default_value,
+                          const std::string& help, ListRange range) {
+  Entry& entry = add(name, Kind::kList, help);
   entry.string_value = default_value;
-  MG_CHECK_MSG(entries_.emplace(name, std::move(entry)).second,
-               "duplicate flag definition");
+  entry.list_value = split_numbers(default_value);
+  entry.list_range = range;
+  entry.list_optional = default_value.empty();
+  MG_CHECK_MSG(list_problem(entry.list_value, range, true).empty(),
+               "list flag default out of its range");
   return *this;
 }
 
@@ -142,6 +196,19 @@ bool Flags::assign(const std::string& name, const std::string& value) {
       case Kind::kString:
         entry.string_value = value;
         break;
+      case Kind::kList: {
+        std::vector<double> values = split_numbers(value);
+        const std::string problem =
+            list_problem(values, entry.list_range, entry.list_optional);
+        if (!problem.empty()) {
+          std::fprintf(stderr, "bad value for --%s: '%s' (%s)\n",
+                       name.c_str(), value.c_str(), problem.c_str());
+          return false;
+        }
+        entry.list_value = std::move(values);
+        entry.string_value = value;
+        break;
+      }
     }
   } catch (const std::exception&) {
     std::fprintf(stderr, "bad value for --%s: '%s'\n", name.c_str(),
@@ -172,6 +239,10 @@ void Flags::print_usage(const char* argv0) const {
         break;
       case Kind::kString:
         type = "string";
+        def = entry.string_value;
+        break;
+      case Kind::kList:
+        type = "list";
         def = entry.string_value;
         break;
     }
@@ -208,6 +279,10 @@ bool Flags::get_bool(const std::string& name) const {
 
 const std::string& Flags::get_string(const std::string& name) const {
   return require(name, Kind::kString).string_value;
+}
+
+const std::vector<double>& Flags::get_list(const std::string& name) const {
+  return require(name, Kind::kList).list_value;
 }
 
 }  // namespace mg::util

@@ -5,7 +5,8 @@
 // scripts), as are bad and missing values: the binary exits 2 on any of
 // them, 0 after `--help`. Int flags are counts, sizes and seeds, so a
 // value below the flag's minimum (0 unless defined otherwise) is a bad
-// value. Positional arguments are collected in order.
+// value. List flags take comma-separated numbers in a declared range
+// (`--rates=25,50,100`). Positional arguments are collected in order.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,13 @@
 #include <vector>
 
 namespace mg::util {
+
+/// Range of every entry of a list flag.
+struct ListRange {
+  double min = 0.0;
+  bool min_exclusive = false;  ///< entries must exceed `min`
+  bool integral = false;       ///< entries must be whole numbers
+};
 
 class Flags {
  public:
@@ -31,6 +39,10 @@ class Flags {
   Flags& define_string(const std::string& name,
                        const std::string& default_value,
                        const std::string& help);
+  /// A comma-separated list of numbers in `range`. Empty entries are
+  /// skipped; an empty list is a bad value unless the default is empty.
+  Flags& define_list(const std::string& name, const std::string& default_value,
+                     const std::string& help, ListRange range = {});
 
   /// Parses argv. On `--help`, prints usage and returns false; on an unknown
   /// flag or a bad or missing value, prints the problem and returns false.
@@ -44,6 +56,8 @@ class Flags {
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;
+  [[nodiscard]] const std::vector<double>& get_list(
+      const std::string& name) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
@@ -51,18 +65,22 @@ class Flags {
   void print_usage(const char* argv0) const;
 
  private:
-  enum class Kind { kInt, kDouble, kBool, kString };
+  enum class Kind { kInt, kDouble, kBool, kString, kList };
 
   struct Entry {
-    Kind kind;
+    Kind kind = Kind::kInt;
     std::string help;
     std::int64_t int_value = 0;
     std::int64_t int_min = 0;
     double double_value = 0.0;
     bool bool_value = false;
-    std::string string_value;
+    std::string string_value;  ///< also a list flag's text
+    std::vector<double> list_value;
+    ListRange list_range;
+    bool list_optional = false;  ///< an empty default: may stay empty
   };
 
+  Entry& add(const std::string& name, Kind kind, const std::string& help);
   Entry& require(const std::string& name, Kind kind);
   const Entry& require(const std::string& name, Kind kind) const;
   [[nodiscard]] bool assign(const std::string& name, const std::string& value);

@@ -2,8 +2,9 @@
 // line/column and file-name diagnostics), the engine's recovery paths (GPU
 // loss, transfer retry with backoff, capacity shocks), proactive fault
 // tolerance (task-progress checkpointing, replication-aware placement,
-// fixed-order replay degradation), the degraded-model invariants, and the
-// zero-cost guarantee when no plan is armed.
+// fixed-order replay degradation), the degraded-model invariants, the
+// zero-cost guarantee when no plan is armed, and whole-run decision pins of
+// the recovery paths (RecoveryDecisionPin).
 #include "sim/fault_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -17,14 +18,18 @@
 
 #include "core/darts.hpp"
 #include "core/task_graph.hpp"
+#include "decision_pin.hpp"
+#include "sched/dmda.hpp"
 #include "sched/eager.hpp"
 #include "sched/fixed_order.hpp"
 #include "sched/hfp.hpp"
+#include "serve/serve_engine.hpp"
 #include "sim/engine.hpp"
 #include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "slo/tier_policy.hpp"
 
 namespace mg::sim {
 namespace {
@@ -696,6 +701,341 @@ TEST(FaultDependencies, CheckpointedOrphanWaitsForUnretiredPredecessor) {
   EXPECT_EQ(metrics.per_gpu[0].tasks_executed, 3u);
   EXPECT_DOUBLE_EQ(metrics.makespan_us, 556.0);
 }
+
+// ---- Recovery decision pins -------------------------------------------------
+//
+// Whole-run pins (tests/decision_pin.hpp) of the engine's recovery paths: an
+// un-retirement with an eject and a checkpoint restore, a replica promoted
+// after a loss, a co-running set lost at once, fused riders re-run after a
+// loss, a suspicion escalated to a node loss, a node lost with work on it,
+// and a drain that abandons an assembling head holding output scratch. The
+// trace records only loads, evictions, starts, ends and write-backs, so
+// every inspector event (kind, gpu, id, bytes, channel, aux) is folded into
+// the hash too: a recovery step that moves, drops or reorders an event
+// changes the pin.
+
+/// Folds every event of the stream into one FNV-1a hash.
+class StreamHash final : public Inspector {
+ public:
+  void on_event(const InspectorEvent& event) override {
+    test::fnv1a_mix(hash, static_cast<std::uint32_t>(event.kind), 1);
+    test::fnv1a_mix(hash, event.gpu, 4);
+    test::fnv1a_mix(hash, event.id, 4);
+    test::fnv1a_mix64(hash, event.bytes);
+    test::fnv1a_mix(hash, event.channel, 4);
+    test::fnv1a_mix(hash, event.aux, 4);
+  }
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+};
+
+/// Attaches a report collector, the stream hash and a checker to a batch
+/// or serving engine.
+struct PinRecorders {
+  explicit PinRecorders(auto& engine) {
+    engine.add_inspector(&collector);
+    engine.add_inspector(&stream);
+    engine.add_inspector(&checker);
+  }
+  test::Pin pin(const core::RunMetrics& metrics) {
+    EXPECT_TRUE(checker.ok()) << checker.report().error << "\n"
+                              << checker.report().excerpt;
+    test::Pin pin = test::pin_of(collector.trace(), metrics);
+    test::fnv1a_mix64(pin.trace_hash, stream.hash);
+    return pin;
+  }
+  RunReportCollector collector;
+  StreamHash stream;
+  InvariantChecker checker{{.fail_fast = false}};
+};
+
+test::Pin run_unretired_predecessor() {
+  // FaultDependencies.CheckpointedOrphanWaitsForUnretiredPredecessor: two
+  // losses un-retire P, eject its revoked successor S from gpu0's pipeline
+  // and restore S from its committed snapshot.
+  core::TaskGraphBuilder builder;
+  const DataId df = builder.add_data(1);
+  const DataId d0 = builder.add_data(10);
+  const DataId d1 = builder.add_data(5);
+  const TaskId filler = builder.add_task(500.0, {df});
+  const TaskId pred = builder.add_task(30.0, {d0});
+  builder.set_task_output(pred, 100);
+  const TaskId succ = builder.add_task(50.0, {d1});
+  builder.add_dependency(pred, succ);
+  const core::TaskGraph graph = builder.build();
+  sched::FixedOrderScheduler scheduler({{filler}, {pred}, {succ}});
+  FaultPlan plan;
+  plan.gpu_losses.push_back({72.0, 2});
+  plan.gpu_losses.push_back({85.0, 1});
+  FaultInjector injector(plan);
+  EngineConfig config;
+  config.pipeline_depth = 2;
+  config.checkpoint_fraction = 0.5;
+  core::Platform platform = test_platform(3, 1000);
+  platform.num_nodes = 3;
+  RuntimeEngine engine(graph, platform, scheduler, config);
+  engine.set_fault_injector(&injector);
+  PinRecorders recorders(engine);
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_EQ(metrics.faults.tasks_reclaimed, 3u);
+  EXPECT_EQ(metrics.faults.tasks_restored, 1u);
+  return recorders.pin(metrics);
+}
+
+test::Pin run_replicated_sole_copy() {
+  // Replication.HotSoleCopyIsReplicatedAndProtectedAfterLoss.
+  core::TaskGraphBuilder builder;
+  const DataId h = builder.add_data(10);
+  const DataId p = builder.add_data(10);
+  for (int i = 0; i < 4; ++i) builder.add_task(50.0, {h});
+  for (int i = 0; i < 4; ++i) builder.add_task(50.0, {p});
+  const core::TaskGraph graph = builder.build();
+  ListScheduler scheduler({{0, 1, 2, 3}, {4, 5, 6, 7}});
+  FaultPlan plan;
+  plan.gpu_losses.push_back({130.0, 0});
+  FaultInjector injector(plan);
+  EngineConfig config;
+  config.pipeline_depth = 1;
+  config.replicate_hot = true;
+  RuntimeEngine engine(graph, test_platform(2, 100), scheduler, config);
+  engine.set_fault_injector(&injector);
+  PinRecorders recorders(engine);
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_EQ(metrics.faults.replicas_protected, 1u);
+  return recorders.pin(metrics);
+}
+
+/// 1 byte in 1 us, 1 flop in 1 us, and a warp budget of `warps_per_gpu`
+/// per GPU.
+core::Platform warp_platform(std::uint32_t gpus, std::uint32_t warps_per_gpu,
+                             std::uint32_t nodes) {
+  core::Platform platform = test_platform(gpus, 1000);
+  platform.num_nodes = nodes;
+  platform.host_memory_bytes = 4000;
+  platform.sm_count = 1;
+  platform.warps_per_sm = warps_per_gpu;
+  return platform;
+}
+
+test::Pin run_co_running_set_loss() {
+  // OccupancySharing.CoRunningSetSurvivesGpuLoss: gpu0 dies with several
+  // kernels co-running on it.
+  core::TaskGraphBuilder builder;
+  const DataId data = builder.add_data(10);
+  for (int t = 0; t < 8; ++t) {
+    builder.set_task_warps(builder.add_task(100.0, {data}), 2);
+  }
+  const core::TaskGraph graph = builder.build();
+  FaultPlan plan;
+  plan.gpu_losses.push_back({50.0, 0});
+  FaultInjector injector(plan);
+  sched::EagerScheduler scheduler;
+  RuntimeEngine engine(graph, warp_platform(2, 8, 1), scheduler,
+                       {.occupancy_threshold = 1.0});
+  engine.set_fault_injector(&injector);
+  PinRecorders recorders(engine);
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_GE(metrics.faults.tasks_reclaimed, 2u);
+  return recorders.pin(metrics);
+}
+
+test::Pin run_unfused_riders() {
+  // SloServe.UnfuseOnGpuLossReRunsRidersToCompletion: a loss breaks the
+  // in-flight batches and every rider re-runs at member granularity.
+  core::TaskGraphBuilder builder;
+  std::vector<DataId> data;
+  for (int i = 0; i < 4; ++i) data.push_back(builder.add_data(10));
+  for (int t = 0; t < 6; ++t) {
+    builder.add_task(5.0, {data[t % 4], data[(t + 1) % 4]});
+  }
+  const std::vector<core::TaskGraph> templates = {builder.build()};
+  std::vector<serve::JobSpec> jobs(24);
+  for (std::uint32_t j = 0; j < jobs.size(); ++j) {
+    jobs[j].priority = (j % 2) * 2;
+  }
+  serve::ServeConfig config;
+  config.arrival.mode = serve::ArrivalMode::kPoisson;
+  config.arrival.rate_jobs_per_s = 1e5;
+  config.arrival.seed = 7;
+  config.admission.max_jobs_in_flight = 2;
+  config.engine.seed = 7;
+  config.slo.enabled = true;
+  config.slo.tiers = slo::TierPolicy{
+      {{.min_priority = 0, .deadline_us = 0.0, .admission_weight = 0},
+       {.min_priority = 2, .deadline_us = 0.0, .admission_weight = 4}}};
+  config.slo.batching = true;
+  config.slo.max_batch = 3;
+  config.slo.marginal_compute = 0.5;
+  FaultPlan plan;
+  plan.gpu_losses.push_back({120.0, 1});
+  FaultInjector injector(plan);
+  sched::DmdaScheduler scheduler;
+  serve::ServeEngine engine(templates, jobs, test_platform(2, 100), scheduler,
+                            config);
+  engine.set_fault_injector(&injector);
+  PinRecorders recorders(engine);
+  const serve::ServeResult result = engine.run();
+  EXPECT_EQ(result.serving.jobs_completed, jobs.size());
+  EXPECT_GT(recorders.collector.report().slo.batches_unfused, 0u);
+  return recorders.pin(result.metrics);
+}
+
+test::Pin run_suspicion_escalation() {
+  // NetFaultDetector.SuspicionEscalatesToNodeLossAfterTheConfirmWindow: a
+  // never-healing partition against d1's home escalates to fail_node, which
+  // re-homes d1 and re-issues the stranded fetch.
+  core::TaskGraphBuilder builder;
+  builder.add_data(10);
+  const DataId d1 = builder.add_data(10);
+  for (int i = 0; i < 6; ++i) builder.add_task(1.0, {d1});
+  const core::TaskGraph graph = builder.build();
+  FaultPlan plan;
+  FaultPlan::LinkFault fault;
+  fault.src = 0;
+  fault.dst = 1;
+  fault.start_us = 0.0;
+  fault.partition = true;
+  plan.link_faults.push_back(fault);
+  FaultInjector injector(plan);
+  EngineConfig config;
+  config.fetch_timeout_factor = 2.0;
+  config.suspicion_confirm_window_us = 500.0;
+  core::Platform platform = test_platform(2, 1000);
+  platform.num_nodes = 2;
+  sched::EagerScheduler scheduler;
+  RuntimeEngine engine(graph, platform, scheduler, config);
+  engine.set_fault_injector(&injector);
+  PinRecorders recorders(engine);
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_EQ(recorders.collector.report().network_faults.suspicions_escalated,
+            1u);
+  return recorders.pin(metrics);
+}
+
+test::Pin run_node_loss_orphans() {
+  // A planned loss of node 1 while its GPU runs one task and buffers
+  // another: fail_node announces the loss, hands both orphans back,
+  // re-homes d1 onto node 0 and the survivor re-runs them there.
+  core::TaskGraphBuilder builder;
+  builder.add_data(10);
+  const DataId d1 = builder.add_data(10);
+  for (int i = 0; i < 6; ++i) builder.add_task(400.0, {d1});
+  const core::TaskGraph graph = builder.build();
+  FaultPlan plan;
+  plan.node_losses.push_back({500.0, 1});
+  FaultInjector injector(plan);
+  core::Platform platform = test_platform(2, 1000);
+  platform.num_nodes = 2;
+  sched::EagerScheduler scheduler;
+  RuntimeEngine engine(graph, platform, scheduler, {.pipeline_depth = 2});
+  engine.set_fault_injector(&injector);
+  PinRecorders recorders(engine);
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_EQ(metrics.faults.tasks_reclaimed, 2u);
+  return recorders.pin(metrics);
+}
+
+/// Witnesses a drain and rejoin of node 1 (GPUs 2 and 3): scratch released
+/// at the drain fence, and tasks started there after the join.
+class DrainWitness final : public Inspector {
+ public:
+  DrainWitness(double fence_us, double join_us)
+      : fence_us_(fence_us), join_us_(join_us) {}
+  void on_event(const InspectorEvent& event) override {
+    if (event.kind == InspectorEventKind::kScratchRelease &&
+        event.time_us == fence_us_) {
+      ++fence_releases;
+    }
+    if (event.kind == InspectorEventKind::kTaskStart && event.gpu >= 2 &&
+        event.time_us > join_us_) {
+      ++rejoined_starts;
+    }
+  }
+  std::uint32_t fence_releases = 0;
+  std::uint32_t rejoined_starts = 0;
+
+ private:
+  double fence_us_;
+  double join_us_;
+};
+
+test::Pin run_drain_abandons_scratch() {
+  // Node 1 drains while its GPUs each run one 5-warp kernel of an 8-warp
+  // budget: the next head has its inputs and output scratch but waits for
+  // warps, so the drain fence unwinds the assembly and releases the
+  // scratch. The node rejoins later and serves again.
+  core::TaskGraphBuilder builder;
+  std::vector<DataId> data;
+  for (int i = 0; i < 4; ++i) data.push_back(builder.add_data(10));
+  for (int t = 0; t < 48; ++t) {
+    const TaskId task = builder.add_task(40.0, {data[t % 4]});
+    builder.set_task_output(task, 8);
+    builder.set_task_warps(task, 5);
+  }
+  const core::TaskGraph graph = builder.build();
+  sched::EagerScheduler scheduler;
+  RuntimeEngine engine(graph, warp_platform(4, 8, 2), scheduler,
+                       {.occupancy_threshold = 1.0});
+  engine.event_queue().schedule_at(100.0,
+                                   [&engine] { engine.begin_node_drain(1); });
+  engine.event_queue().schedule_at(300.0,
+                                   [&engine] { engine.begin_node_join(1); });
+  PinRecorders recorders(engine);
+  DrainWitness witness(100.0, 300.0);
+  engine.add_inspector(&witness);
+  const core::RunMetrics metrics = engine.run();
+  EXPECT_GT(witness.fence_releases, 0u);
+  EXPECT_GT(witness.rejoined_starts, 0u);
+  EXPECT_EQ(engine.node_status(1), RuntimeEngine::NodeStatus::kActive);
+  return recorders.pin(metrics);
+}
+
+struct RecoveryPinCase {
+  const char* name;
+  test::Pin (*run)();
+  test::Pin expected;
+};
+
+// Reference values: the engine before its recovery steps were folded into
+// shared helpers gives these runs.
+const RecoveryPinCase kRecoveryPinCases[] = {
+    {"UnretiredPredecessor", run_unretired_predecessor,
+     {0xc6eb54a78610c89dULL, 5, 0, 556.0}},
+    {"ReplicatedSoleCopy", run_replicated_sole_copy,
+     {0x238e111c776f2c84ULL, 4, 0, 320.0}},
+    {"CoRunningSetLoss", run_co_running_set_loss,
+     {0xd182f92eddbb88eaULL, 2, 0, 320.0}},
+    {"UnfusedRiders", run_unfused_riders,
+     {0xfbe3eadf6726ba01ULL, 8, 0, 550.0}},
+    {"SuspicionEscalation", run_suspicion_escalation,
+     {0x30c78eda4ff7f059ULL, 2, 0, 639.00240000000008}},
+    {"NodeLossOrphans", run_node_loss_orphans,
+     {0xa39e17675a9e3491ULL, 2, 0, 2045.0008}},
+    {"DrainAbandonsScratch", run_drain_abandons_scratch,
+     {0x2a262526ec8c3a1bULL, 24, 0, 710.0}},
+};
+
+// gtest prints the parameter into each test's listed name; print the case
+// name so that name does not carry the address of the name string.
+void PrintTo(const RecoveryPinCase& pin_case, std::ostream* os) {
+  *os << pin_case.name;
+}
+
+class RecoveryDecisionPin : public testing::TestWithParam<RecoveryPinCase> {};
+
+TEST_P(RecoveryDecisionPin, RunRepeatsExactly) {
+  const RecoveryPinCase& pin_case = GetParam();
+  const test::Pin actual = pin_case.run();
+  EXPECT_EQ(actual.trace_hash, pin_case.expected.trace_hash);
+  EXPECT_EQ(actual.loads, pin_case.expected.loads);
+  EXPECT_EQ(actual.evictions, pin_case.expected.evictions);
+  EXPECT_DOUBLE_EQ(actual.makespan_us, pin_case.expected.makespan_us);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, RecoveryDecisionPin, testing::ValuesIn(kRecoveryPinCases),
+    [](const testing::TestParamInfo<RecoveryPinCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace mg::sim

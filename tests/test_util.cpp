@@ -168,6 +168,49 @@ TEST(Flags, RejectsBadValue) {
   const char* one_argv[] = {"prog", "--jobs=1"};
   ASSERT_TRUE(one.parse(2, const_cast<char**>(one_argv)));
   EXPECT_EQ(one.get_int("jobs"), 1);
+
+  // List flags: every entry must be a number in the flag's range, and the
+  // list must not be empty unless its default is. A refusal names the flag
+  // and keeps the default.
+  struct ListParse {
+    bool ok;
+    std::vector<double> values;  // of the flag named in the argument
+    std::string error;
+  };
+  auto parse_list = [](const std::string& arg) {
+    Flags lists;
+    lists.define_list("rates", "25,50", "", {.min_exclusive = true})
+        .define_list("thresholds", "0,0.5", "")
+        .define_list("node-list", "1,2", "", {.min = 1, .integral = true})
+        .define_list("speeds", "", "", {.min_exclusive = true});
+    const char* argv[] = {"prog", arg.c_str()};
+    testing::internal::CaptureStderr();
+    ListParse out;
+    out.ok = lists.parse(2, const_cast<char**>(argv));
+    out.error = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(lists.exit_status(), out.ok ? 0 : 2) << arg;
+    out.values = lists.get_list(arg.substr(2, arg.find('=') - 2));
+    return out;
+  };
+  for (const std::string bad :
+       {"--rates=abc", "--rates=10,x", "--rates=5abc", "--rates=0,50",
+        "--rates=-1", "--rates=", "--rates=,", "--thresholds=-0.5",
+        "--thresholds=nan", "--rates=inf", "--node-list=0",
+        "--node-list=1.5", "--node-list=inf",
+        "--speeds=fast"}) {
+    const ListParse parsed = parse_list(bad);
+    const std::string flag = bad.substr(0, bad.find('='));
+    EXPECT_FALSE(parsed.ok) << bad;
+    EXPECT_NE(parsed.error.find("bad value for " + flag), std::string::npos)
+        << parsed.error;
+  }
+  EXPECT_EQ(parse_list("--rates=0").values, (std::vector<double>{25, 50}));
+  EXPECT_EQ(parse_list("--rates=12.5,,400").values,
+            (std::vector<double>{12.5, 400}));
+  EXPECT_EQ(parse_list("--thresholds=0").values, (std::vector<double>{0}));
+  EXPECT_EQ(parse_list("--node-list=4,1").values,
+            (std::vector<double>{4, 1}));
+  EXPECT_TRUE(parse_list("--speeds=").ok);
 }
 
 TEST(Flags, HelpExitsZeroAndFlagErrorsExitTwo) {
