@@ -24,10 +24,8 @@
 #include "common/figure_harness.hpp"
 #include "sched/hfp.hpp"
 #include "serve/autoscale_flags.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/serve_engine.hpp"
-#include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
@@ -37,10 +35,11 @@ int main(int argc, char** argv) {
   util::Flags flags(
       "Autoscaling ablation: a Poisson spike absorbed by scale-out vs. "
       "fixed topologies (sheds, deadline misses, drain/join counters)");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kBaseFlags, /*default_gpus=*/4);
   flags.define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("num-jobs", 80, "jobs in the burst", /*min_value=*/1)
-      .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)")
+      .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)",
+                     {.min_exclusive = true})
       .define_double("deadline-ms", 80.0, "per-job latency SLO in ms")
       .define_int("max-in-flight", 4,
                   "admission bound on concurrently in-flight jobs")
@@ -88,11 +87,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(flags.get_int("max-queue")));
   csv.comment(line);
 
-  struct ArmResult {
-    serve::ServeResult result;
-    sim::RunReport::Autoscaling autoscaling;
-  };
-  std::vector<sim::RunReport> reports;
+  serve::RunOutputs outputs(config.run_report_path);
   // One arm: a full streamed run on `initial_nodes`, autoscaler on/off.
   auto run_arm = [&](const std::string& arm, std::uint32_t initial_nodes,
                      bool autoscale) {
@@ -117,30 +112,13 @@ int main(int argc, char** argv) {
     sched::HfpScheduler scheduler;
     serve::ServeEngine engine(templates, jobs, config.platform, scheduler,
                               serve_config);
-    sim::InvariantChecker checker;
-    engine.add_inspector(&checker);
-    sim::RunReportCollector collector(
-        {.context = "abl_autoscale " + arm, .collect_trace = false});
-    engine.add_inspector(&collector);
+    auto run = serve::run_observed(engine,
+                                   {.check = true,
+                                    .collect = true,
+                                    .context = "abl_autoscale " + arm});
 
-    ArmResult arm_result;
-    try {
-      arm_result.result = engine.run();
-    } catch (const sim::EngineError& error) {
-      sim::exit_engine_failure("abl_autoscale " + arm, error);
-    }
-    if (!checker.ok()) {
-      std::fprintf(stderr, "abl_autoscale %s: invariant violation\n",
-                   arm.c_str());
-      std::exit(1);
-    }
-    sim::RunReport report = collector.report();
-    serve::fill_serving_report(report, arm_result.result);
-    arm_result.autoscaling = report.autoscaling;
-    reports.push_back(std::move(report));
-
-    const sim::RunReport::Serving& serving = arm_result.result.serving;
-    const sim::RunReport::Autoscaling& scaling = arm_result.autoscaling;
+    const sim::RunReport::Serving& serving = run.result.serving;
+    const sim::RunReport::Autoscaling& scaling = run.report.autoscaling;
     csv.row({arm, static_cast<std::int64_t>(serving.jobs_submitted),
              static_cast<std::int64_t>(serving.jobs_completed),
              static_cast<std::int64_t>(serving.jobs_shed),
@@ -154,26 +132,19 @@ int main(int argc, char** argv) {
              static_cast<double>(scaling.migrated_bytes) / 1e6,
              static_cast<std::int64_t>(scaling.warm_fills),
              static_cast<std::int64_t>(
-                 arm_result.result.metrics.faults.tasks_reclaimed)});
-    return arm_result;
+                 run.result.metrics.faults.tasks_reclaimed)});
+    outputs.keep(std::move(run.report));
+    return run.result;
   };
 
-  const ArmResult fixed_small = run_arm("fixed-small", 1, false);
-  const ArmResult fixed_large =
-      run_arm("fixed-large", config.platform.num_nodes, false);
-  const ArmResult autoscaled = run_arm("autoscaled", 1, true);
-  (void)fixed_large;
+  const serve::ServeResult fixed_small = run_arm("fixed-small", 1, false);
+  run_arm("fixed-large", config.platform.num_nodes, false);
+  const serve::ServeResult autoscaled = run_arm("autoscaled", 1, true);
+  outputs.write("abl_autoscale: " + config.title);
 
-  if (!config.run_report_path.empty() &&
-      !sim::write_run_reports(reports, "abl_autoscale: " + config.title,
-                              config.run_report_path)) {
-    std::fprintf(stderr, "failed to write run report to %s\n",
-                 config.run_report_path.c_str());
-    return 1;
-  }
   if (flags.get_bool("check")) {
-    const auto& small = fixed_small.result.serving;
-    const auto& elastic = autoscaled.result.serving;
+    const auto& small = fixed_small.serving;
+    const auto& elastic = autoscaled.serving;
     bool ok = true;
     if (elastic.jobs_shed >= small.jobs_shed) {
       std::fprintf(stderr,
@@ -189,16 +160,16 @@ int main(int argc, char** argv) {
                    elastic.deadline_miss_rate, small.deadline_miss_rate);
       ok = false;
     }
-    if (autoscaled.result.scale_out_events == 0) {
+    if (autoscaled.scale_out_events == 0) {
       std::fprintf(stderr, "CLAIM FAILED: the autoscaler never scaled out\n");
       ok = false;
     }
-    if (autoscaled.result.metrics.faults.tasks_reclaimed != 0) {
+    if (autoscaled.metrics.faults.tasks_reclaimed != 0) {
       std::fprintf(stderr,
                    "CLAIM FAILED: planned topology change reclaimed %llu "
                    "task(s) — drains must lose zero progress\n",
                    static_cast<unsigned long long>(
-                       autoscaled.result.metrics.faults.tasks_reclaimed));
+                       autoscaled.metrics.faults.tasks_reclaimed));
       ok = false;
     }
     if (!ok) return 1;
@@ -206,7 +177,7 @@ int main(int argc, char** argv) {
                 "%.3f <= %.3f, %u scale-out(s), zero reclaims\n",
                 elastic.jobs_shed, small.jobs_shed,
                 elastic.deadline_miss_rate, small.deadline_miss_rate,
-                autoscaled.result.scale_out_events);
+                autoscaled.scale_out_events);
   }
   return 0;
 }

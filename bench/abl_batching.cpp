@@ -24,10 +24,8 @@
 
 #include "common/figure_harness.hpp"
 #include "sched/dmda.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/serve_engine.hpp"
-#include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
@@ -37,11 +35,12 @@ int main(int argc, char** argv) {
   util::Flags flags(
       "Batching ablation: cross-job super-task fusion vs. plain tiered "
       "serving x memory pressure (DMDAR)");
-  bench::add_standard_flags(flags, /*default_gpus=*/2,
-                            /*default_mem_mb=*/150);
+  bench::add_standard_flags(flags, bench::kBaseFlags,
+                            /*default_gpus=*/2, /*default_mem_mb=*/150);
   flags.define_int("n", 6, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("num-jobs", 40, "jobs in the burst", /*min_value=*/1)
-      .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)")
+      .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)",
+                     {.min_exclusive = true})
       .define_int("max-in-flight", 4,
                   "admission bound on concurrently in-flight jobs (tight, "
                   "so the queue holds fusion candidates)")
@@ -106,7 +105,6 @@ int main(int argc, char** argv) {
     serve::ServeResult result;
     sim::RunReport report;
     std::string json;
-    bool checker_ok = true;
   };
   auto run_arm = [&](double mem_mb, const char* arm,
                      const slo::SloConfig& slo, bool emit_row) {
@@ -126,25 +124,13 @@ int main(int argc, char** argv) {
     sched::DmdaScheduler scheduler;
     serve::ServeEngine engine(templates, jobs, platform, scheduler,
                               serve_config);
-    sim::InvariantChecker checker;
-    engine.add_inspector(&checker);
     // The byte-identity comparison relies on both disabled arms sharing
     // this context string, so keep it independent of `arm`.
     char context[96];
     std::snprintf(context, sizeof context, "abl_batching mem=%g", mem_mb);
-    sim::RunReportCollector collector(
-        {.context = context, .collect_trace = false});
-    engine.add_inspector(&collector);
-
-    ArmResult out;
-    try {
-      out.result = engine.run();
-    } catch (const sim::EngineError& error) {
-      sim::exit_engine_failure(context, error);
-    }
-    out.checker_ok = checker.ok();
-    out.report = collector.report();
-    serve::fill_serving_report(out.report, out.result);
+    auto run = serve::run_observed(
+        engine, {.check = true, .collect = true, .context = context});
+    ArmResult out{std::move(run.result), std::move(run.report), ""};
     out.json = sim::run_report_to_json(out.report);
 
     if (emit_row) {
@@ -169,7 +155,7 @@ int main(int argc, char** argv) {
 
   bool all_checks_ok = true;
   bool claim_ok = true;
-  std::vector<sim::RunReport> reports;
+  serve::RunOutputs outputs(config.run_report_path);
   for (const double mem_mb : mem_mbs) {
     // Byte-identity: every batching knob set but the master switch off must
     // reproduce the plain run bit for bit.
@@ -191,16 +177,9 @@ int main(int argc, char** argv) {
         run_arm(mem_mb, "tiers", make_slo(/*batching=*/false), true);
     const ArmResult batched =
         run_arm(mem_mb, "batched", make_slo(/*batching=*/true), true);
-    for (const ArmResult* arm : {&off, &off_knobs, &tiers, &batched}) {
-      if (!arm->checker_ok) {
-        std::fprintf(stderr, "abl_batching: invariant violation at mem=%g\n",
-                     mem_mb);
-        all_checks_ok = false;
-      }
-    }
-    reports.push_back(off.report);
-    reports.push_back(tiers.report);
-    reports.push_back(batched.report);
+    outputs.keep(off.report);
+    outputs.keep(tiers.report);
+    outputs.keep(batched.report);
 
     // Schema probe: the batched arm's slo section must serialize armed.
     if (batched.json.find("\"slo\":{\"enabled\":true") == std::string::npos) {
@@ -251,13 +230,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!config.run_report_path.empty() &&
-      !sim::write_run_reports(reports, "abl_batching: " + config.title,
-                              config.run_report_path)) {
-    std::fprintf(stderr, "failed to write run report to %s\n",
-                 config.run_report_path.c_str());
-    return 1;
-  }
+  outputs.write("abl_batching: " + config.title);
   if (flags.get_bool("check")) {
     if (!all_checks_ok || !claim_ok) return 1;
     std::printf("claim OK: batching beats tiers-only on jobs/s and "

@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Dependency-handling ablation on the Cholesky tile DAG");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kObserverFlags, /*default_gpus=*/4);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

@@ -20,7 +20,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Eviction ablation: LRU vs Belady vs LUF on a fixed order");
-  bench::add_standard_flags(flags, /*default_gpus=*/1);
+  bench::add_standard_flags(flags, bench::kObserverFlags, /*default_gpus=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

@@ -26,7 +26,6 @@
 #include "serve/job_tracker.hpp"
 #include "sim/engine.hpp"
 #include "sim/fault_injector.hpp"
-#include "sim/invariant_checker.hpp"
 #include "util/csv.hpp"
 #include "workloads/workloads.hpp"
 
@@ -36,7 +35,8 @@ int main(int argc, char** argv) {
       "Fault-injection ablation: scheduler throughput and recovery under "
       "GPU loss, flaky transfers and capacity shocks, plus a checkpoint x "
       "replication recovery sweep");
-  bench::add_standard_flags(flags, /*default_gpus=*/2);
+  bench::add_standard_flags(flags, bench::kTraceFlag | bench::kRecoveryFlags,
+                            /*default_gpus=*/2);
   flags.define_int("n", 32, "2D matmul dimension (N)", /*min_value=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
@@ -82,10 +82,9 @@ int main(int argc, char** argv) {
                                 engine_config);
       sim::FaultInjector injector(plan);
       engine.set_fault_injector(&injector);
-      sim::InvariantChecker checker;  // fail-fast: a bad recovery aborts
-      engine.add_inspector(&checker);
+      // Checked: a bad recovery exits 1.
       const core::RunMetrics metrics = observer.run(
-          engine, graph, entry.label + " " + scenario);
+          engine, graph, entry.label + " " + scenario, /*check=*/true);
       std::vector<double> recovery = metrics.faults.recovery_latency_us;
       std::sort(recovery.begin(), recovery.end());
       csv.row({scenario, entry.label, checkpoint_interval_us,

@@ -2,6 +2,7 @@
 // schedulers adapt their work split to device speed — DMDA by its
 // completion-time model, mHFP by duration-balancing, hMETIS+R by target
 // shares, DARTS and EAGER by their natural pull rate.
+#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -18,13 +19,20 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Heterogeneous-GPU ablation (2 fast + 2 slow)");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kObserverFlags, /*default_gpus=*/4);
   flags.define_double("slow-factor", 0.5,
-                      "speed of the slow devices relative to a V100");
+                      "speed of the slow devices relative to a V100",
+                      {.min_exclusive = true});
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   auto config = bench::config_from_flags(
       flags, "abl_hetero", "heterogeneous platform ablation on 2D matmul");
+  if (config.platform.num_gpus != 4) {
+    std::fprintf(stderr, "bad value for --gpus: '%u' (abl_hetero needs 4: "
+                 "2 fast and 2 slow)\n",
+                 config.platform.num_gpus);
+    return 2;
+  }
   const double slow = flags.get_double("slow-factor");
   config.platform.gpu_gflops_per_device = {
       config.platform.gpu_gflops, config.platform.gpu_gflops,

@@ -28,12 +28,10 @@
 
 #include "cluster/locality.hpp"
 #include "common/figure_harness.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/serve_engine.hpp"
-#include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
@@ -43,10 +41,11 @@ int main(int argc, char** argv) {
   util::Flags flags(
       "Network-fault ablation: hedged remote fetches route around a "
       "partition that parks the no-hedging arm (sheds, timeouts, hedges)");
-  bench::add_standard_flags(flags, /*default_gpus=*/6);
+  bench::add_standard_flags(flags, bench::kBaseFlags, /*default_gpus=*/6);
   flags.define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("num-jobs", 80, "jobs in the burst", /*min_value=*/1)
-      .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)")
+      .define_double("rate", 400.0, "Poisson arrival rate (jobs/s)",
+                     {.min_exclusive = true})
       .define_int("max-in-flight", 4,
                   "admission bound on concurrently in-flight jobs")
       .define_int("max-queue", 4,
@@ -104,7 +103,7 @@ int main(int argc, char** argv) {
     sim::RunReport::NetworkFaults net;
     std::string report_json;
   };
-  std::vector<sim::RunReport> reports;
+  serve::RunOutputs outputs(config.run_report_path);
   // One arm: a full streamed run under `plan` with the hedging knobs set.
   // `context` keys the run report; arms that must compare byte-identical
   // share one context string.
@@ -128,29 +127,14 @@ int main(int argc, char** argv) {
                               serve_config);
     sim::FaultInjector injector(plan);
     if (!plan.empty()) engine.set_fault_injector(&injector);
-    sim::InvariantChecker checker;
-    engine.add_inspector(&checker);
-    sim::RunReportCollector collector(
-        {.context = context, .collect_trace = false});
-    engine.add_inspector(&collector);
+    auto run = serve::run_observed(
+        engine, {.check = true, .collect = true, .context = context});
 
     ArmResult arm_result;
-    try {
-      arm_result.result = engine.run();
-    } catch (const sim::EngineError& error) {
-      sim::exit_engine_failure("abl_netfaults " + arm, error);
-    }
-    if (!checker.ok()) {
-      std::fprintf(stderr, "abl_netfaults %s: invariant violation\n%s\n%s\n",
-                   arm.c_str(), checker.report().error.c_str(),
-                   checker.report().excerpt.c_str());
-      std::exit(1);
-    }
-    sim::RunReport report = collector.report();
-    serve::fill_serving_report(report, arm_result.result);
-    arm_result.net = report.network_faults;
-    arm_result.report_json = sim::run_report_to_json(report);
-    reports.push_back(std::move(report));
+    arm_result.result = std::move(run.result);
+    arm_result.net = run.report.network_faults;
+    arm_result.report_json = sim::run_report_to_json(run.report);
+    outputs.keep(std::move(run.report));
 
     const sim::RunReport::Serving& serving = arm_result.result.serving;
     csv.row({arm, static_cast<std::int64_t>(serving.jobs_submitted),
@@ -207,13 +191,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!config.run_report_path.empty() &&
-      !sim::write_run_reports(reports, "abl_netfaults",
-                              config.run_report_path)) {
-    std::fprintf(stderr, "failed to write run report to %s\n",
-                 config.run_report_path.c_str());
-    return 1;
-  }
+  outputs.write("abl_netfaults");
 
   if (flags.get_bool("check")) {
     bool ok = true;

@@ -26,10 +26,8 @@
 
 #include "common/figure_harness.hpp"
 #include "sched/dmda.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/serve_engine.hpp"
-#include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
@@ -39,11 +37,12 @@ int main(int argc, char** argv) {
   util::Flags flags(
       "Occupancy ablation: GPU-sharing admission threshold x memory "
       "pressure on a small-task serving stream (DMDAR)");
-  bench::add_standard_flags(flags, /*default_gpus=*/2,
-                            /*default_mem_mb=*/150);
+  bench::add_standard_flags(flags, bench::kBaseFlags,
+                            /*default_gpus=*/2, /*default_mem_mb=*/150);
   flags.define_int("n", 6, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("num-jobs", 40, "jobs in the burst", /*min_value=*/1)
-      .define_double("rate", 300.0, "Poisson arrival rate (jobs/s)")
+      .define_double("rate", 300.0, "Poisson arrival rate (jobs/s)",
+                     {.min_exclusive = true})
       .define_int("max-in-flight", 12,
                   "admission bound on concurrently in-flight jobs")
       .define_list("thresholds", "0,0.75,1.0,1.25",
@@ -97,12 +96,7 @@ int main(int argc, char** argv) {
                     : work::matmul_2d_task_warps());
   csv.comment(line);
 
-  struct ArmResult {
-    serve::ServeResult result;
-    sim::RunReport report;
-    bool checker_ok = true;
-  };
-  std::vector<sim::RunReport> reports;
+  serve::RunOutputs outputs(config.run_report_path);
   auto run_arm = [&](double mem_mb, double threshold) {
     core::Platform platform = config.platform;
     platform.gpu_memory_bytes =
@@ -120,47 +114,26 @@ int main(int argc, char** argv) {
     sched::DmdaScheduler scheduler;
     serve::ServeEngine engine(templates, jobs, platform, scheduler,
                               serve_config);
-    sim::InvariantChecker checker;
-    engine.add_inspector(&checker);
     char context[96];
     std::snprintf(context, sizeof context,
                   "abl_occupancy mem=%g threshold=%g", mem_mb, threshold);
-    sim::RunReportCollector collector(
-        {.context = context, .collect_trace = false});
-    engine.add_inspector(&collector);
+    auto run = serve::run_observed(
+        engine, {.check = true, .collect = true, .context = context});
+    outputs.keep(run.report);
 
-    ArmResult arm;
-    try {
-      arm.result = engine.run();
-    } catch (const sim::EngineError& error) {
-      sim::exit_engine_failure(context, error);
-    }
-    arm.checker_ok = checker.ok();
-    arm.report = collector.report();
-    serve::fill_serving_report(arm.report, arm.result);
-    reports.push_back(arm.report);
-
-    const sim::RunReport::Occupancy& occ = arm.report.occupancy;
-    double mean_occupancy = 0.0;
-    std::uint32_t peak_warps = 0;
-    for (const sim::RunReport::Occupancy::Gpu& g : occ.per_gpu) {
-      mean_occupancy += g.mean_occupancy;
-      peak_warps = std::max(peak_warps, g.peak_warps);
-    }
-    if (!occ.per_gpu.empty()) {
-      mean_occupancy /= static_cast<double>(occ.per_gpu.size());
-    }
-    const sim::RunReport::Serving& serving = arm.result.serving;
+    const sim::RunReport::Occupancy& occ = run.report.occupancy;
+    const bench::OccupancySummary summary = bench::summarize_occupancy(occ);
+    const sim::RunReport::Serving& serving = run.result.serving;
     csv.row({mem_mb, threshold, serving.throughput_jobs_per_s,
              serving.latency_p50_us / 1e3, serving.latency_p99_us / 1e3,
              static_cast<std::int64_t>(serving.jobs_shed),
-             static_cast<std::int64_t>(arm.result.metrics.total_loads()),
-             arm.result.metrics.transfers_mb(), mean_occupancy,
-             static_cast<std::int64_t>(peak_warps),
+             static_cast<std::int64_t>(run.result.metrics.total_loads()),
+             run.result.metrics.transfers_mb(), summary.mean_occupancy,
+             static_cast<std::int64_t>(summary.peak_warps),
              static_cast<std::int64_t>(occ.admissions),
              static_cast<std::int64_t>(occ.rejections),
              static_cast<std::int64_t>(occ.co_run_pairs)});
-    return arm;
+    return run;
   };
 
   bool all_checks_ok = true;
@@ -171,14 +144,7 @@ int main(int argc, char** argv) {
     double best_sharing_threshold = 0.0;
     std::uint64_t sharing_co_run_pairs = 0;
     for (const double threshold : thresholds) {
-      const ArmResult arm = run_arm(mem_mb, threshold);
-      if (!arm.checker_ok) {
-        std::fprintf(stderr,
-                     "abl_occupancy: invariant violation at mem=%g "
-                     "threshold=%g\n",
-                     mem_mb, threshold);
-        all_checks_ok = false;
-      }
+      const auto arm = run_arm(mem_mb, threshold);
       if (threshold == 0.0) {
         exclusive_throughput = arm.result.serving.throughput_jobs_per_s;
         if (arm.report.occupancy.enabled) {
@@ -253,13 +219,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!config.run_report_path.empty() &&
-      !sim::write_run_reports(reports, "abl_occupancy: " + config.title,
-                              config.run_report_path)) {
-    std::fprintf(stderr, "failed to write run report to %s\n",
-                 config.run_report_path.c_str());
-    return 1;
-  }
+  outputs.write("abl_occupancy: " + config.title);
   if (flags.get_bool("check")) {
     if (!all_checks_ok || !claim_ok) return 1;
     std::printf("claim OK: sharing beats exclusive at the ample memory "

@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Output write-back ablation on the 2D matmul");
-  bench::add_standard_flags(flags, /*default_gpus=*/2);
+  bench::add_standard_flags(flags, bench::kObserverFlags, /*default_gpus=*/2);
   flags.define_int("output-kb", 3686, "output bytes per task (KB)");
   if (!flags.parse(argc, argv)) return flags.exit_status();
 

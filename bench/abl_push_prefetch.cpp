@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Push-prefetch ablation for DMDAR");
-  bench::add_standard_flags(flags, /*default_gpus=*/2);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/2);
   flags.define_bool("random-order", false,
                     "use the randomized submission order (Figure 9 regime)");
   if (!flags.parse(argc, argv)) return flags.exit_status();

@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Ready-window ablation for DMDAR");
-  bench::add_standard_flags(flags, /*default_gpus=*/1);
+  bench::add_standard_flags(flags, bench::kObserverFlags, /*default_gpus=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Stealing ablation: mHFP / hMETIS+R with and without");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/4);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

@@ -11,38 +11,15 @@
 //
 //   ./bench_autoscale --out=BENCH_autoscale.json
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/figure_harness.hpp"
 #include "sched/hfp.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/serve_engine.hpp"
-#include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
 #include "util/flags.hpp"
 #include "workloads/matmul2d.hpp"
-
-namespace {
-
-/// Peak resident set in MB from /proc/self/status (VmHWM); 0.0 where the
-/// proc filesystem is unavailable (non-Linux).
-double peak_rss_mb() {
-  std::FILE* status = std::fopen("/proc/self/status", "r");
-  if (status == nullptr) return 0.0;
-  char line[256];
-  double kb = 0.0;
-  while (std::fgets(line, sizeof line, status) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      std::sscanf(line + 6, "%lf", &kb);
-      break;
-    }
-  }
-  std::fclose(status);
-  return kb / 1024.0;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mg;
@@ -70,10 +47,8 @@ int main(int argc, char** argv) {
   platform.num_nodes = static_cast<std::uint32_t>(flags.get_int("nodes"));
   platform.host_memory_bytes = 800 * core::kMB;
 
-  std::uint64_t events = 0;
-  double best_wall_s = 0.0;
-  const int repeat = static_cast<int>(flags.get_int("repeat"));
-  for (int rep = 0; rep < repeat; ++rep) {
+  // One run of the pinned scenario, timed from the engine's start.
+  const auto timed_run = [&] {
     serve::ServeConfig config;
     config.arrival.mode = serve::ArrivalMode::kPoisson;
     config.arrival.rate_jobs_per_s = 500.0;
@@ -90,49 +65,13 @@ int main(int argc, char** argv) {
     sched::HfpScheduler scheduler;
     serve::ServeEngine engine(templates, jobs, platform, scheduler, config);
     const auto start = std::chrono::steady_clock::now();
-    try {
-      (void)engine.run();
-    } catch (const sim::EngineError& error) {
-      sim::exit_engine_failure("bench_autoscale", error);
-    }
+    (void)serve::run_observed(engine, {.context = "bench_autoscale"});
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    const std::uint64_t run_events =
-        engine.engine().event_queue().events_processed();
-    if (rep == 0) {
-      events = run_events;
-    } else if (events != run_events) {
-      std::fprintf(stderr,
-                   "bench_autoscale: nondeterministic event count (%llu vs "
-                   "%llu)\n",
-                   static_cast<unsigned long long>(events),
-                   static_cast<unsigned long long>(run_events));
-      return 1;
-    }
-    if (rep == 0 || wall_s < best_wall_s) best_wall_s = wall_s;
-  }
-
-  const double events_per_sec =
-      best_wall_s > 0.0 ? static_cast<double>(events) / best_wall_s : 0.0;
-  const double rss_mb = peak_rss_mb();
-
-  const std::string path = flags.get_string("out");
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\"bench\":\"autoscale\",\"events\":%llu,"
-               "\"wall_s\":%.6f,\"events_per_sec\":%.0f,"
-               "\"peak_rss_mb\":%.1f}\n",
-               static_cast<unsigned long long>(events), best_wall_s,
-               events_per_sec, rss_mb);
-  std::fclose(out);
-  std::printf("bench_autoscale: %llu events in %.3f s (%.0f events/s), "
-              "peak RSS %.1f MB -> %s\n",
-              static_cast<unsigned long long>(events), best_wall_s,
-              events_per_sec, rss_mb, path.c_str());
-  return 0;
+    return bench::GateRun{engine.engine().event_queue().events_processed(),
+                          wall_s};
+  };
+  return bench::run_gate("autoscale", flags.get_int("repeat"),
+                         flags.get_string("out"), timed_run);
 }

@@ -1,13 +1,14 @@
 #include "common/figure_harness.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
+#include <optional>
+#include <span>
 
 #include "analysis/bounds.hpp"
-#include "analysis/trace_export.hpp"
 #include "sched/dmda.hpp"
 #include "sched/eager.hpp"
 #include "sched/hfp.hpp"
@@ -17,7 +18,6 @@
 #include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/platform_flags.hpp"
-#include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -98,13 +98,14 @@ void run_figure(const FigureConfig& config,
     std::vector<sim::RunReport> reports;
   };
   std::vector<PointResult> results(points.size());
+  serve::RunOutputs outputs(config.run_report_path, config.chrome_trace_path);
 
   // The Chrome trace captures one run: the sweep's last (point, scheduler)
   // combination that is not skipped by a working-set bound.
   constexpr std::size_t kNone = ~std::size_t{0};
   std::size_t trace_point = kNone;
   std::size_t trace_spec = kNone;
-  if (!config.chrome_trace_path.empty()) {
+  if (outputs.tracing()) {
     for (std::size_t pi = 0; pi < points.size(); ++pi) {
       for (std::size_t si = 0; si < schedulers.size(); ++si) {
         if (points[pi].working_set_mb <= schedulers[si].max_working_set_mb &&
@@ -116,16 +117,30 @@ void run_figure(const FigureConfig& config,
     }
   }
 
-  // Engine failures (deadlock, budget, fault-plan rejection) from possibly
-  // parallel sweep workers: remember the first, report after the join.
-  std::atomic<bool> engine_failed{false};
+  // The first failure of possibly parallel sweep workers, reported after
+  // the join: a task larger than --mem-mb (exit 2; the check prints why) or
+  // an engine failure (deadlock, budget, fault-plan rejection; exit 3).
   std::mutex failure_mutex;
-  std::string failure_message;
+  int failure_status = 0;
+  std::string failure_label;
+  std::optional<sim::EngineError> engine_error;
+  const auto mem_mb = static_cast<std::int64_t>(
+      config.platform.gpu_memory_bytes / core::kMB);
 
   auto run_point = [&](std::size_t index) {
     const WorkloadPoint& point = points[index];
     PointResult& result = results[index];
     const core::TaskGraph graph = point.make();
+    {
+      const std::lock_guard<std::mutex> lock(failure_mutex);
+      if (failure_status == 0 &&
+          !sim::mem_mb_holds_every_task(
+              mem_mb, config.platform.gpu_memory_bytes,
+              std::span<const core::TaskGraph>(&graph, 1))) {
+        failure_status = 2;
+      }
+      if (failure_status != 0) return;
+    }
     char point_line[160];
     std::snprintf(point_line, sizeof point_line,
                   "point ws=%.0fMB tasks=%u data=%u pci_limit_mb=%.0f",
@@ -170,42 +185,33 @@ void run_figure(const FigureConfig& config,
         // Observability rides on the first repetition only: one report per
         // (point, scheduler) row, one Chrome trace per sweep.
         const bool observe =
-            rep == 0 && (!config.run_report_path.empty() || wants_trace);
-        std::unique_ptr<sim::RunReportCollector> collector;
-        if (observe) {
-          sim::RunReportCollector::Options collector_options;
-          char context[96];
-          std::snprintf(context, sizeof context, "%s ws=%gMB",
-                        config.figure.c_str(), point.working_set_mb);
-          collector_options.context = context;
-          collector_options.collect_trace = wants_trace;
-          collector = std::make_unique<sim::RunReportCollector>(
-              std::move(collector_options));
-          engine.add_inspector(collector.get());
-        }
+            rep == 0 && (outputs.reporting() || wants_trace);
+        char context[96];
+        std::snprintf(context, sizeof context, "%s ws=%gMB",
+                      config.figure.c_str(), point.working_set_mb);
+        const serve::RunInspectors inspectors(
+            engine, {.collect = observe,
+                     .trace = observe && wants_trace,
+                     .context = context});
         core::RunMetrics metrics;
         try {
           metrics = engine.run();
         } catch (const sim::EngineError& error) {
-          if (!engine_failed.exchange(true)) {
-            const std::lock_guard<std::mutex> lock(failure_mutex);
-            failure_message = std::string(spec.label) + " at ws=" +
-                              std::to_string(point.working_set_mb) + "MB: " +
-                              error.what();
+          const std::lock_guard<std::mutex> lock(failure_mutex);
+          if (failure_status == 0) {
+            failure_status = 3;
+            failure_label = spec.label + " at ws=" +
+                            std::to_string(point.working_set_mb) + "MB";
+            engine_error = error;
           }
           return;  // abandon this point; the sweep exits after the join
         }
-        if (observe) {
-          if (!config.run_report_path.empty()) {
-            result.reports.push_back(collector->report());
-          }
-          if (wants_trace &&
-              !analysis::export_chrome_trace(graph, config.platform,
-                                             collector->trace(),
-                                             config.chrome_trace_path)) {
-            std::fprintf(stderr, "failed to write chrome trace to %s\n",
-                         config.chrome_trace_path.c_str());
-          }
+        if (observe && outputs.reporting()) {
+          result.reports.push_back(inspectors.finish());
+        }
+        // Only this run keeps a trace: no other worker touches `outputs`.
+        if (observe && wants_trace) {
+          outputs.keep_trace(graph, config.platform, inspectors.trace());
         }
         gflops += metrics.achieved_gflops();
         transfers_mb += metrics.transfers_mb();
@@ -237,99 +243,68 @@ void run_figure(const FigureConfig& config,
     for (std::size_t i = 0; i < points.size(); ++i) run_point(i);
   }
 
-  if (engine_failed.load()) {
-    std::fprintf(stderr, "engine failure: %s\n", failure_message.c_str());
-    std::exit(3);
-  }
+  if (engine_error) sim::exit_engine_failure(failure_label, *engine_error);
+  if (failure_status != 0) std::exit(failure_status);
 
-  for (const PointResult& result : results) {
+  for (PointResult& result : results) {
     csv.comment(result.comment);
     for (const auto& row : result.rows) csv.row(row);
-  }
-
-  if (!config.run_report_path.empty()) {
-    std::vector<sim::RunReport> reports;
-    for (PointResult& result : results) {
-      for (sim::RunReport& report : result.reports) {
-        reports.push_back(std::move(report));
-      }
-    }
-    if (!sim::write_run_reports(reports, config.figure + ": " + config.title,
-                                config.run_report_path)) {
-      std::fprintf(stderr, "failed to write run report to %s\n",
-                   config.run_report_path.c_str());
+    for (sim::RunReport& report : result.reports) {
+      outputs.keep(std::move(report));
     }
   }
+  outputs.write(config.figure + ": " + config.title);
 }
 
 RunObserver::RunObserver(const FigureConfig& config)
     : figure_(config.figure),
       title_(config.title),
-      run_report_path_(config.run_report_path),
-      chrome_trace_path_(config.chrome_trace_path) {}
+      outputs_(config.run_report_path, config.chrome_trace_path) {}
 
-RunObserver::~RunObserver() { flush(); }
+RunObserver::~RunObserver() { outputs_.write(figure_ + ": " + title_); }
 
 core::RunMetrics RunObserver::run(sim::RuntimeEngine& engine,
                                   const core::TaskGraph& graph,
-                                  const std::string& label) {
-  if (run_report_path_.empty() && chrome_trace_path_.empty()) {
-    return sim::run_engine_or_exit(engine, label);
-  }
-  sim::RunReportCollector::Options options;
-  options.context = figure_ + " " + label;
-  options.collect_trace = !chrome_trace_path_.empty();
-  sim::RunReportCollector collector(std::move(options));
-  engine.add_inspector(&collector);
-  core::RunMetrics metrics = sim::run_engine_or_exit(engine, label);
-  if (!run_report_path_.empty()) reports_.push_back(collector.report());
-  // Rewritten per observed run: the last run wins, like run_figure.
-  if (!chrome_trace_path_.empty() &&
-      !analysis::export_chrome_trace(graph, engine.platform(),
-                                     collector.trace(), chrome_trace_path_)) {
-    std::fprintf(stderr, "failed to write chrome trace to %s\n",
-                 chrome_trace_path_.c_str());
-  }
+                                  const std::string& label, bool check) {
+  const std::string context = figure_ + " " + label;
+  const bool observe = outputs_.reporting() || outputs_.tracing();
+  const serve::RunInspectors inspectors(
+      engine, {.check = check,
+               .collect = observe,
+               .trace = outputs_.tracing(),
+               .context = context});
+  const core::RunMetrics metrics = sim::run_engine_or_exit(engine, context);
+  outputs_.keep(inspectors.finish());
+  outputs_.keep_trace(graph, engine.platform(), inspectors.trace());
   return metrics;
 }
 
-void RunObserver::flush() {
-  if (flushed_ || run_report_path_.empty()) return;
-  flushed_ = true;
-  if (!write_run_reports(reports_, figure_ + ": " + title_,
-                         run_report_path_)) {
-    std::fprintf(stderr, "failed to write run report to %s\n",
-                 run_report_path_.c_str());
-  }
-}
-
-void add_standard_flags(util::Flags& flags, std::uint32_t default_gpus,
+void add_standard_flags(util::Flags& flags, unsigned blocks,
+                        std::uint32_t default_gpus,
                         std::int64_t default_mem_mb) {
   sim::add_platform_flags(flags, default_gpus, default_mem_mb);
-  flags.define_int("reps", 1, "repetitions averaged per point")
-      .define_int("seed", 42, "base RNG seed")
+  flags.define_int("seed", 42, "base RNG seed")
       .define_string("out", "", "CSV output path (default: stdout)")
-      .define_bool("full", false,
-                   "sweep the paper's full working-set range (slower)")
-      .define_int("jobs", 1,
-                  "worker threads for the sweep (only used when no curve "
-                  "charges scheduler wall time)")
       .define_string("run-report", "",
                      "write a JSON run report (one entry per point/scheduler "
-                     "run) to this path")
-      .define_string("chrome-trace", "",
-                     "write a chrome://tracing timeline of the last run to "
-                     "this path")
-      .define_double("checkpoint-interval", 0.0,
-                     "checkpoint task progress every N simulated us of "
-                     "compute (0 = off)")
-      .define_double("checkpoint-fraction", 0.0,
-                     "checkpoint task progress every given fraction of each "
-                     "task (0 = off; ignored when --checkpoint-interval is "
-                     "set)")
-      .define_bool("replicate-hot", false,
-                   "keep a second replica of hot shared data on another GPU "
-                   "while the fault plan threatens GPU losses");
+                     "run) to this path");
+  if ((blocks & kFullFlag) != 0) {
+    flags.define_bool("full", false,
+                      "sweep the paper's full working-set range (slower)");
+  }
+  if ((blocks & kTraceFlag) != 0) {
+    flags.define_string("chrome-trace", "",
+                        "write a chrome://tracing timeline of the last run "
+                        "to this path");
+  }
+  if ((blocks & kSweepFlags) != 0) {
+    flags.define_int("reps", 1, "repetitions averaged per point")
+        .define_int("jobs", 1,
+                    "worker threads for the sweep (only used when no curve "
+                    "charges scheduler wall time)");
+  }
+  if ((blocks & kFaultPlanFlag) != 0) sim::add_fault_plan_flag(flags);
+  if ((blocks & kRecoveryFlags) != 0) sim::add_recovery_flags(flags);
 }
 
 FigureConfig config_from_flags(const util::Flags& flags, std::string figure,
@@ -339,18 +314,111 @@ FigureConfig config_from_flags(const util::Flags& flags, std::string figure,
   config.title = std::move(title);
   config.platform = sim::platform_from_flags(flags);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  config.repetitions = static_cast<std::uint32_t>(flags.get_int("reps"));
   config.output_path = flags.get_string("out");
-  config.jobs = static_cast<std::uint32_t>(flags.get_int("jobs"));
   config.run_report_path = flags.get_string("run-report");
-  config.chrome_trace_path = flags.get_string("chrome-trace");
-  if (auto plan = sim::fault_plan_from_flags(flags)) {
-    config.fault_plan = std::move(*plan);
+  if (flags.has("chrome-trace")) {
+    config.chrome_trace_path = flags.get_string("chrome-trace");
   }
-  config.checkpoint_interval_us = flags.get_double("checkpoint-interval");
-  config.checkpoint_fraction = flags.get_double("checkpoint-fraction");
-  config.replicate_hot = flags.get_bool("replicate-hot");
+  if (flags.has("reps")) {
+    config.repetitions = static_cast<std::uint32_t>(flags.get_int("reps"));
+    config.jobs = static_cast<std::uint32_t>(flags.get_int("jobs"));
+  }
+  if (flags.has("fault-plan")) {
+    if (auto plan = sim::fault_plan_from_flags(flags)) {
+      config.fault_plan = std::move(*plan);
+    }
+  }
+  if (flags.has("replicate-hot")) {
+    config.checkpoint_interval_us = flags.get_double("checkpoint-interval");
+    config.checkpoint_fraction = flags.get_double("checkpoint-fraction");
+    config.replicate_hot = flags.get_bool("replicate-hot");
+  }
   return config;
+}
+
+namespace {
+
+/// Peak resident set in MB from /proc/self/status (VmHWM); 0.0 where the
+/// proc filesystem is unavailable (non-Linux).
+double peak_rss_mb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0.0;
+  char line[256];
+  double kb = 0.0;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      std::sscanf(line + 6, "%lf", &kb);
+      break;
+    }
+  }
+  std::fclose(status);
+  return kb / 1024.0;
+}
+
+}  // namespace
+
+int run_gate(const std::string& name, std::int64_t repeat,
+             const std::string& path,
+             const std::function<GateRun()>& timed_run,
+             const char* count_key, const char* count_label) {
+  GateRun best;
+  for (std::int64_t rep = 0; rep < repeat; ++rep) {
+    const GateRun run = timed_run();
+    if (rep == 0) {
+      best = run;
+    } else if (run.events != best.events) {
+      std::fprintf(stderr,
+                   "bench_%s: nondeterministic event count (%llu vs %llu)\n",
+                   name.c_str(), static_cast<unsigned long long>(best.events),
+                   static_cast<unsigned long long>(run.events));
+      return 1;
+    } else {
+      best.wall_s = std::min(best.wall_s, run.wall_s);
+    }
+  }
+
+  const double events_per_sec =
+      best.wall_s > 0.0 ? static_cast<double>(best.events) / best.wall_s
+                        : 0.0;
+  const double rss_mb = peak_rss_mb();
+  std::string count_json;
+  std::string count_text;
+  if (count_key != nullptr) {
+    count_json = ",\"" + std::string(count_key) +
+                 "\":" + std::to_string(best.count);
+    count_text = std::to_string(best.count) + " " + count_label + ", ";
+  }
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(out,
+               "{\"bench\":\"%s\",\"events\":%llu,"
+               "\"wall_s\":%.6f,\"events_per_sec\":%.0f,"
+               "\"peak_rss_mb\":%.1f%s}\n",
+               name.c_str(), static_cast<unsigned long long>(best.events),
+               best.wall_s, events_per_sec, rss_mb, count_json.c_str());
+  std::fclose(out);
+  std::printf("bench_%s: %llu events in %.3f s (%.0f events/s), "
+              "%speak RSS %.1f MB -> %s\n",
+              name.c_str(), static_cast<unsigned long long>(best.events),
+              best.wall_s, events_per_sec, count_text.c_str(), rss_mb,
+              path.c_str());
+  return 0;
+}
+
+OccupancySummary summarize_occupancy(
+    const sim::RunReport::Occupancy& occupancy) {
+  OccupancySummary summary;
+  for (const sim::RunReport::Occupancy::Gpu& gpu : occupancy.per_gpu) {
+    summary.mean_occupancy += gpu.mean_occupancy;
+    summary.peak_warps = std::max(summary.peak_warps, gpu.peak_warps);
+  }
+  if (!occupancy.per_gpu.empty()) {
+    summary.mean_occupancy /= static_cast<double>(occupancy.per_gpu.size());
+  }
+  return summary;
 }
 
 }  // namespace mg::bench

@@ -1,4 +1,6 @@
-// Shared driver for the figure-reproduction harnesses (bench/fig*.cpp).
+// Shared code of the bench drivers: the figure harness, the observation
+// step of the ablations with their own sweep loops, the flag blocks, and
+// what the serving drivers and the bench_* gates share.
 //
 // A figure is a sweep: for each working-set point, generate the workload,
 // run every scheduler spec through the simulator, and emit one CSV row per
@@ -18,13 +20,10 @@
 #include "core/platform.hpp"
 #include "core/scheduler.hpp"
 #include "core/task_graph.hpp"
+#include "serve/observed_run.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/run_report.hpp"
 #include "util/flags.hpp"
-
-namespace mg::sim {
-class RuntimeEngine;
-}
 
 namespace mg::bench {
 
@@ -104,47 +103,93 @@ struct FigureConfig {
 /// Runs the sweep and writes the CSV. Columns:
 ///   working_set_mb, scheduler, gflops, transfers_mb, loads, evictions,
 ///   makespan_ms, sched_prepare_ms, sched_pop_ms
+/// Exits 2 when a point's graph has a task larger than the GPU memory, 3 on
+/// an engine failure, 1 when --run-report or --chrome-trace cannot be
+/// written.
 void run_figure(const FigureConfig& config,
                 const std::vector<WorkloadPoint>& points,
                 const std::vector<SchedulerSpec>& schedulers);
 
 /// Observability for binaries with bespoke sweep loops (the abl_* harnesses
-/// that cannot express their runs as run_figure points): wraps each engine
-/// run with a sim::RunReportCollector when --run-report / --chrome-trace
-/// are set, and writes the collected documents on flush (or destruction).
-/// run_figure-based binaries get the same behaviour built in.
+/// that cannot express their runs as run_figure points): runs each engine
+/// through serve::RunInspectors, keeps its report for --run-report and its
+/// trace for --chrome-trace (the last observed run wins, like run_figure's
+/// last run), and writes both on destruction, exiting 1 when it cannot.
 class RunObserver {
  public:
   explicit RunObserver(const FigureConfig& config);
   ~RunObserver();
 
-  /// Runs `engine` to completion; when observability is enabled, collects a
-  /// report labelled `label` and (re)writes the Chrome trace, so the last
-  /// observed run wins — matching run_figure's last-run semantics.
-  core::RunMetrics run(sim::RuntimeEngine& engine,
-                       const core::TaskGraph& graph, const std::string& label);
+  RunObserver(const RunObserver&) = delete;
+  RunObserver& operator=(const RunObserver&) = delete;
 
-  /// Writes the run-report document if any reports were collected.
-  void flush();
+  /// Runs `engine` to completion, its report labelled `label`; `check`
+  /// attaches an invariant checker (exit 1 on a violation).
+  core::RunMetrics run(sim::RuntimeEngine& engine,
+                       const core::TaskGraph& graph, const std::string& label,
+                       bool check = false);
 
  private:
   std::string figure_;
   std::string title_;
-  std::string run_report_path_;
-  std::string chrome_trace_path_;
-  std::vector<sim::RunReport> reports_;
-  bool flushed_ = false;
+  serve::RunOutputs outputs_;
 };
 
-/// Registers the standard figure flags (--gpus, --mem-mb, --reps, --seed,
-/// --out, --full, --jobs, --run-report, --chrome-trace, --fault-plan,
-/// --checkpoint-interval, --checkpoint-fraction, --replicate-hot, --nodes,
-/// --net-bandwidth, --net-latency, --host-mem-mb) on `flags`.
-void add_standard_flags(util::Flags& flags, std::uint32_t default_gpus,
+/// The flag blocks of a bench binary. Every binary takes the platform flags
+/// (sim/platform_flags.hpp), --seed, --out and --run-report, and on top only
+/// the blocks it reads: any other flag is unknown (exit 2).
+enum FlagBlock : unsigned {
+  kBaseFlags = 0,
+  kFullFlag = 1u << 0,       ///< --full
+  kTraceFlag = 1u << 1,      ///< --chrome-trace
+  kSweepFlags = 1u << 2,     ///< --reps, --jobs
+  kFaultPlanFlag = 1u << 3,  ///< --fault-plan
+  /// --checkpoint-interval, --checkpoint-fraction, --replicate-hot
+  kRecoveryFlags = 1u << 4,
+  /// What the RunObserver ablations read.
+  kObserverFlags = kFullFlag | kTraceFlag,
+  /// What run_figure reads: every block.
+  kFigureFlags =
+      kObserverFlags | kSweepFlags | kFaultPlanFlag | kRecoveryFlags,
+};
+
+/// Registers the base flags and `blocks` (FlagBlock bits) on `flags`.
+void add_standard_flags(util::Flags& flags, unsigned blocks,
+                        std::uint32_t default_gpus,
                         std::int64_t default_mem_mb = 500);
 
-/// Builds a FigureConfig from parsed standard flags.
+/// Builds a FigureConfig from parsed standard flags; a block the binary did
+/// not register keeps FigureConfig's defaults.
 FigureConfig config_from_flags(const util::Flags& flags, std::string figure,
                                std::string title);
+
+/// One timed run of a bench_* gate's pinned scenario: its event count, the
+/// wall seconds of the run alone and the gate's own count (jobs fused,
+/// co-run pairs).
+struct GateRun {
+  std::uint64_t events = 0;
+  double wall_s = 0.0;
+  std::uint64_t count = 0;
+};
+
+/// Calls `timed_run` `repeat` times; the event count must repeat (else exit
+/// status 1) and the fastest wall time wins. Writes BENCH_<name>.json's
+/// fields to `path`, adding the first run's count as `count_key` unless it
+/// is null, prints a summary line with peak RSS, and returns the exit
+/// status (1 when `path` cannot be written).
+int run_gate(const std::string& name, std::int64_t repeat,
+             const std::string& path,
+             const std::function<GateRun()>& timed_run,
+             const char* count_key = nullptr,
+             const char* count_label = nullptr);
+
+/// A served run's occupancy section in two numbers: the mean occupancy over
+/// the GPUs and the highest per-GPU peak of running warps.
+struct OccupancySummary {
+  double mean_occupancy = 0.0;
+  std::uint32_t peak_warps = 0;
+};
+OccupancySummary summarize_occupancy(
+    const sim::RunReport::Occupancy& occupancy);
 
 }  // namespace mg::bench

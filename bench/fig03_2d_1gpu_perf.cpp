@@ -7,7 +7,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 3: 2D matmul, 1 GPU, GFlop/s vs working set");
-  bench::add_standard_flags(flags, /*default_gpus=*/1);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

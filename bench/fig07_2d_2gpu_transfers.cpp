@@ -6,7 +6,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 7: 2D matmul, 2 GPUs, transfers");
-  bench::add_standard_flags(flags, /*default_gpus=*/2);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/2);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 9: randomized 2D matmul, 2 GPUs");
-  bench::add_standard_flags(flags, /*default_gpus=*/2);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/2);
   flags.define_int("order-seed", 1, "seed of the submission-order shuffle");
   if (!flags.parse(argc, argv)) return flags.exit_status();
 

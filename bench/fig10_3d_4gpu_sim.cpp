@@ -7,7 +7,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 10: 3D matmul, 4 GPUs, simulation");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/4);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto config = bench::config_from_flags(

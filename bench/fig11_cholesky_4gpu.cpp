@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 11: Cholesky task set, 4 GPUs");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/4);
   flags.define_bool("deps", false,
                     "restore the factorization's real task dependencies "
                     "(the paper strips them; see docs/ARCHITECTURE.md)");

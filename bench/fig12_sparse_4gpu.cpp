@@ -9,7 +9,7 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 12: sparse 2D matmul, 4 GPUs, 500 MB memories");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kFigureFlags, /*default_gpus=*/4);
   flags.define_double("keep", 0.02, "fraction of tasks kept");
   flags.define_int("sparse-seed", 3, "task-dropping seed");
   if (!flags.parse(argc, argv)) return flags.exit_status();

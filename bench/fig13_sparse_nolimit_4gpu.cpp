@@ -8,8 +8,8 @@
 int main(int argc, char** argv) {
   using namespace mg;
   util::Flags flags("Figure 13: sparse 2D matmul, 4 GPUs, 32 GB memories");
-  bench::add_standard_flags(flags, /*default_gpus=*/4,
-                            /*default_mem_mb=*/32000);
+  bench::add_standard_flags(flags, bench::kFigureFlags,
+                            /*default_gpus=*/4, /*default_mem_mb=*/32000);
   flags.define_double("keep", 0.02, "fraction of tasks kept");
   flags.define_int("sparse-seed", 3, "task-dropping seed");
   if (!flags.parse(argc, argv)) return flags.exit_status();

@@ -13,6 +13,7 @@
 //
 //   ./fig_multinode --gpus=4 --n=16
 //   ./fig_multinode --node-list=2 --run-report=multinode.json --check
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -25,10 +26,8 @@
 #include "core/darts.hpp"
 #include "sched/eager.hpp"
 #include "sched/hfp.hpp"
+#include "serve/observed_run.hpp"
 #include "sim/engine.hpp"
-#include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
@@ -39,7 +38,7 @@ int main(int argc, char** argv) {
       "fig_multinode: one workload scaled across cluster nodes.\n"
       "schedulers: EAGER, DARTS+LUF, mHFP, hier(mHFP), hier(DARTS+LUF), "
       "locality");
-  bench::add_standard_flags(flags, /*default_gpus=*/4);
+  bench::add_standard_flags(flags, bench::kBaseFlags, /*default_gpus=*/4);
   flags.define_int("n", 16, "matmul dimension (N^2 tasks, 2N data)",
                    /*min_value=*/1)
       .define_list("node-list", "1,2,4",
@@ -52,6 +51,15 @@ int main(int argc, char** argv) {
 
   bench::FigureConfig config = bench::config_from_flags(
       flags, "fig_multinode", "inter-node traffic and balance vs. node count");
+  const std::vector<double>& node_list = flags.get_list("node-list");
+  if (std::none_of(node_list.begin(), node_list.end(), [&](double entry) {
+        return entry <= config.platform.num_gpus;
+      })) {
+    std::fprintf(stderr,
+                 "bad value for --node-list: no entry fits the %u GPUs\n",
+                 config.platform.num_gpus);
+    return 2;
+  }
 
   const core::TaskGraph graph = work::make_matmul_2d(
       {.n = static_cast<std::uint32_t>(flags.get_int("n"))});
@@ -93,8 +101,8 @@ int main(int argc, char** argv) {
                 graph.num_data());
   csv.comment(line);
 
-  std::vector<sim::RunReport> reports;
-  for (const double entry : flags.get_list("node-list")) {
+  serve::RunOutputs outputs(config.run_report_path);
+  for (const double entry : node_list) {
     if (entry > config.platform.num_gpus) {
       std::fprintf(stderr, "skipping --node-list entry %g: need 1..%u\n",
                    entry, config.platform.num_gpus);
@@ -110,22 +118,15 @@ int main(int argc, char** argv) {
       engine_config.seed = config.seed;
       sim::RuntimeEngine engine(graph, platform, *scheduler, engine_config);
 
-      sim::InvariantChecker checker;
-      if (flags.get_bool("check")) engine.add_inspector(&checker);
-      // The collector always rides along: the cluster section is where the
-      // network traffic this figure plots comes from.
-      sim::RunReportCollector::Options collector_options;
       char context[96];
       std::snprintf(context, sizeof context, "fig_multinode nodes=%u", nodes);
-      collector_options.context = context;
-      collector_options.collect_trace = false;
-      sim::RunReportCollector collector(std::move(collector_options));
-      engine.add_inspector(&collector);
-
-      const core::RunMetrics metrics = sim::run_engine_or_exit(
-          engine, spec.label + " at nodes=" + std::to_string(nodes));
-
-      sim::RunReport report = collector.report();
+      // The collector always rides along: the cluster section is where the
+      // network traffic this figure plots comes from.
+      auto run = serve::run_observed(engine, {.check = flags.get_bool("check"),
+                                              .collect = true,
+                                              .context = context});
+      const core::RunMetrics& metrics = run.result;
+      sim::RunReport& report = run.report;
       // Cross-node steals live in the hierarchical driver, not the engine —
       // patch them into the report like ServeEngine does for serving stats.
       if (const auto* hierarchical =
@@ -159,18 +160,9 @@ int main(int argc, char** argv) {
                static_cast<std::int64_t>(report.cluster.host_cache_evictions),
                static_cast<std::int64_t>(metrics.total_loads()),
                metrics.transfers_mb()});
-      if (!config.run_report_path.empty()) {
-        reports.push_back(std::move(report));
-      }
+      outputs.keep(std::move(report));
     }
   }
-
-  if (!config.run_report_path.empty() &&
-      !sim::write_run_reports(reports, "fig_multinode: " + config.title,
-                              config.run_report_path)) {
-    std::fprintf(stderr, "failed to write run report to %s\n",
-                 config.run_report_path.c_str());
-    return 1;
-  }
+  outputs.write("fig_multinode: " + config.title);
   return 0;
 }

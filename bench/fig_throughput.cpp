@@ -24,11 +24,10 @@
 #include "sched/eager.hpp"
 #include "sched/hfp.hpp"
 #include "serve/autoscale_flags.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/serve_engine.hpp"
 #include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "workloads/matmul2d.hpp"
@@ -40,7 +39,8 @@ int main(int argc, char** argv) {
       "rates.\nschedulers: EAGER, DMDAR, DARTS+LUF, mHFP");
   // 150 MB against a 224 MB template working set: tight enough that the
   // eviction policy decides how much of the cross-job reuse survives.
-  bench::add_standard_flags(flags, 2, /*default_mem_mb=*/150);
+  bench::add_standard_flags(flags, bench::kFaultPlanFlag | bench::kRecoveryFlags,
+                            /*default_gpus=*/2, /*default_mem_mb=*/150);
   flags.define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("num-jobs", 60, "jobs streamed per run", /*min_value=*/1)
       .define_list("rates", "25,50,100,200",
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
                 flags.get_bool("no-share") ? " (sharing ablated)" : "");
   csv.comment(line);
 
-  std::vector<sim::RunReport> reports;
+  serve::RunOutputs outputs(config.run_report_path);
   for (const double rate : rates) {
     for (const Spec& spec : specs) {
       serve::ServeConfig serve_config;
@@ -190,49 +190,18 @@ int main(int argc, char** argv) {
         injector = std::make_unique<sim::FaultInjector>(config.fault_plan);
         engine.set_fault_injector(injector.get());
       }
-      sim::InvariantChecker checker;
-      if (flags.get_bool("check")) engine.add_inspector(&checker);
-      std::unique_ptr<sim::RunReportCollector> collector;
+      char context[96];
+      std::snprintf(context, sizeof context, "fig_throughput rate=%g", rate);
       // The occupancy columns need the collector even when no run report is
       // written to disk.
-      if (!config.run_report_path.empty() || occupancy_threshold > 0.0) {
-        sim::RunReportCollector::Options options;
-        char context[96];
-        std::snprintf(context, sizeof context, "fig_throughput rate=%g",
-                      rate);
-        options.context = context;
-        options.collect_trace = false;
-        collector =
-            std::make_unique<sim::RunReportCollector>(std::move(options));
-        engine.add_inspector(collector.get());
-      }
-
-      serve::ServeResult result;
-      try {
-        result = engine.run();
-      } catch (const sim::EngineError& error) {
-        sim::exit_engine_failure(spec.label + " at rate " +
-                                     util::format_double(rate),
-                                 error);
-      }
-      sim::RunReport::Occupancy occupancy;
-      if (collector != nullptr) {
-        sim::RunReport report = collector->report();
-        serve::fill_serving_report(report, result);
-        occupancy = report.occupancy;
-        if (!config.run_report_path.empty()) {
-          reports.push_back(std::move(report));
-        }
-      }
-      double mean_occupancy = 0.0;
-      std::uint32_t peak_warps = 0;
-      for (const sim::RunReport::Occupancy::Gpu& g : occupancy.per_gpu) {
-        mean_occupancy += g.mean_occupancy;
-        peak_warps = std::max(peak_warps, g.peak_warps);
-      }
-      if (!occupancy.per_gpu.empty()) {
-        mean_occupancy /= static_cast<double>(occupancy.per_gpu.size());
-      }
+      const bool collect = outputs.reporting() || occupancy_threshold > 0.0;
+      auto run = serve::run_observed(engine, {.check = flags.get_bool("check"),
+                                              .collect = collect,
+                                              .context = context});
+      const serve::ServeResult& result = run.result;
+      const sim::RunReport::Occupancy& occupancy = run.report.occupancy;
+      const bench::OccupancySummary summary =
+          bench::summarize_occupancy(occupancy);
 
       const sim::RunReport::Serving& serving = result.serving;
       std::vector<util::CsvCell> cells = {
@@ -244,7 +213,8 @@ int main(int argc, char** argv) {
           result.metrics.transfers_mb(),
           static_cast<double>(serving.cross_job_reuse_bytes) / 1e6,
           static_cast<std::int64_t>(serving.peak_jobs_in_flight),
-          mean_occupancy, static_cast<std::int64_t>(peak_warps),
+          summary.mean_occupancy,
+          static_cast<std::int64_t>(summary.peak_warps),
           static_cast<std::int64_t>(occupancy.co_run_pairs),
           static_cast<std::int64_t>(occupancy.rejections)};
       for (std::uint32_t t = 0; t < num_tiers; ++t) {
@@ -254,15 +224,9 @@ int main(int argc, char** argv) {
         cells.push_back(tier.p99_us / 1e3);
       }
       csv.row(cells);
+      outputs.keep(std::move(run.report));
     }
   }
-
-  if (!config.run_report_path.empty() &&
-      !sim::write_run_reports(reports, "fig_throughput: " + config.title,
-                              config.run_report_path)) {
-    std::fprintf(stderr, "failed to write run report to %s\n",
-                 config.run_report_path.c_str());
-    return 1;
-  }
+  outputs.write("fig_throughput: " + config.title);
   return 0;
 }

@@ -24,12 +24,11 @@
 #include "sched/fixed_order.hpp"
 #include "sched/hfp.hpp"
 #include "sched/hmetis_r.hpp"
+#include "serve/observed_run.hpp"
 #include "sim/engine.hpp"
 #include "sim/engine_guard.hpp"
 #include "sim/fault_injector.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/platform_flags.hpp"
-#include "sim/run_report.hpp"
 #include "util/flags.hpp"
 #include "workloads/workloads.hpp"
 
@@ -136,17 +135,10 @@ int main(int argc, char** argv) {
       .define_string("save-schedule", "",
                      "archive the realized per-GPU execution order here")
       .define_string("replay-schedule", "",
-                     "ignore --scheduler and replay an archived schedule")
-      .define_double("checkpoint-interval", 0.0,
-                     "checkpoint task progress every N simulated us of "
-                     "compute (0 = off)")
-      .define_double("checkpoint-fraction", 0.0,
-                     "checkpoint task progress every given fraction of each "
-                     "task (0 = off)")
-      .define_bool("replicate-hot", false,
-                   "keep a second replica of hot shared data on another GPU "
-                   "while the fault plan threatens GPU losses");
+                     "ignore --scheduler and replay an archived schedule");
   sim::add_platform_flags(flags, /*default_gpus=*/1, /*default_mem_mb=*/500);
+  sim::add_fault_plan_flag(flags);
+  sim::add_recovery_flags(flags);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   using namespace mg;
@@ -209,16 +201,17 @@ int main(int argc, char** argv) {
   // --validate checks the run online, faulted runs included; the collector
   // records the execution trace the --stats, --save-schedule and
   // --trace-json outputs read.
-  sim::InvariantChecker checker({.fail_fast = false});
-  if (flags.get_bool("validate")) engine.add_inspector(&checker);
-  sim::RunReportCollector collector;
-  if (flags.get_bool("stats") || !flags.get_string("trace-json").empty() ||
-      !flags.get_string("save-schedule").empty()) {
-    engine.add_inspector(&collector);
-  }
+  serve::RunOutputs outputs("", flags.get_string("trace-json"));
+  const bool record = flags.get_bool("stats") || outputs.tracing() ||
+                      !flags.get_string("save-schedule").empty();
+  const serve::RunInspectors inspectors(
+      engine, {.check = flags.get_bool("validate"),
+               .collect = record,
+               .trace = record,
+               .context = "memsched_run"});
   const core::RunMetrics metrics =
       sim::run_engine_or_exit(engine, "memsched_run");
-  const sim::Trace& trace = collector.trace();
+  const sim::Trace& trace = inspectors.trace();
 
   std::printf("workload   : %s N=%lld (%u tasks, %u data, %.0f MB)\n",
               flags.get_string("workload").c_str(),
@@ -309,11 +302,8 @@ int main(int argc, char** argv) {
                 100.0 * per.busy_time_us / metrics.makespan_us);
   }
 
-  if (flags.get_bool("validate")) {
-    std::printf("trace      : %s\n",
-                checker.ok() ? "valid" : checker.report().error.c_str());
-    if (!checker.ok()) return 1;
-  }
+  (void)inspectors.finish();  // exits 1 on a violation
+  if (flags.get_bool("validate")) std::printf("trace      : valid\n");
 
   if (flags.get_bool("stats")) {
     const analysis::ReuseStats stats =
@@ -356,14 +346,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string trace_path = flags.get_string("trace-json");
-  if (!trace_path.empty()) {
-    if (analysis::export_chrome_trace(graph, platform, trace, trace_path)) {
-      std::printf("trace json : %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write trace to %s\n", trace_path.c_str());
-      return 1;
-    }
+  outputs.keep_trace(graph, platform, trace);
+  outputs.write("memsched_run");
+  if (outputs.tracing()) {
+    std::printf("trace json : %s\n", flags.get_string("trace-json").c_str());
   }
   return 0;
 }

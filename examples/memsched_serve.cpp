@@ -19,13 +19,11 @@
 #include "sched/eager.hpp"
 #include "sched/hfp.hpp"
 #include "serve/autoscale_flags.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/serve_engine.hpp"
 #include "sim/engine_guard.hpp"
-#include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
-#include "sim/invariant_checker.hpp"
 #include "sim/platform_flags.hpp"
-#include "sim/run_report.hpp"
 #include "util/csv.hpp"
 #include "util/flags.hpp"
 #include "workloads/workloads.hpp"
@@ -55,7 +53,8 @@ int main(int argc, char** argv) {
       .define_string("scheduler", "darts+luf", "scheduling policy")
       .define_int("seed", 42, "RNG seed (arrivals and engine)")
       .define_string("arrival", "poisson", "poisson | closed-loop")
-      .define_double("rate", 100.0, "Poisson arrival rate (jobs/s)")
+      .define_double("rate", 100.0, "Poisson arrival rate (jobs/s)",
+                     {.min_exclusive = true})
       .define_int("concurrency", 4, "closed-loop client count")
       .define_int("jobs", 50, "number of jobs streamed", /*min_value=*/1)
       .define_double("deadline-us", 0.0,
@@ -72,18 +71,13 @@ int main(int argc, char** argv) {
                      "section) to this path");
   serve::add_autoscale_flags(flags);
   sim::add_platform_flags(flags, /*default_gpus=*/2, /*default_mem_mb=*/500);
+  sim::add_fault_plan_flag(flags);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   const auto arrival = serve::parse_arrival_mode(flags.get_string("arrival"));
   if (!arrival.has_value()) {
     std::fprintf(stderr, "bad value for --arrival: '%s'\n",
                  flags.get_string("arrival").c_str());
-    return 2;
-  }
-  if (*arrival == serve::ArrivalMode::kPoisson &&
-      !(flags.get_double("rate") > 0.0)) {
-    std::fprintf(stderr, "bad value for --rate: %g (positive jobs/s)\n",
-                 flags.get_double("rate"));
     return 2;
   }
   auto scheduler = make_scheduler(flags.get_string("scheduler"));
@@ -138,23 +132,11 @@ int main(int argc, char** argv) {
     engine.set_fault_injector(injector.get());
   }
 
-  sim::InvariantChecker checker;
-  if (flags.get_bool("check")) engine.add_inspector(&checker);
-  std::unique_ptr<sim::RunReportCollector> collector;
-  if (!flags.get_string("run-report").empty()) {
-    sim::RunReportCollector::Options options;
-    options.context = "memsched_serve";
-    options.collect_trace = false;
-    collector = std::make_unique<sim::RunReportCollector>(std::move(options));
-    engine.add_inspector(collector.get());
-  }
-
-  serve::ServeResult result;
-  try {
-    result = engine.run();
-  } catch (const sim::EngineError& error) {
-    sim::exit_engine_failure("memsched_serve", error);
-  }
+  serve::RunOutputs outputs(flags.get_string("run-report"));
+  auto run = serve::run_observed(engine, {.check = flags.get_bool("check"),
+                                          .collect = outputs.reporting(),
+                                          .context = "memsched_serve"});
+  const serve::ServeResult& result = run.result;
   const sim::RunReport::Serving& serving = result.serving;
 
   std::printf("template   : %s N=%u (%u tasks/job, %.0f MB working set)\n",
@@ -218,21 +200,13 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     result.metrics.faults.tasks_reclaimed));
   }
-  if (flags.get_bool("check")) {
-    std::printf("invariants : %s\n", checker.ok() ? "ok" : "VIOLATED");
-    if (!checker.ok()) return 1;
-  }
+  // A violation has already exited 1.
+  if (flags.get_bool("check")) std::printf("invariants : ok\n");
 
-  if (collector != nullptr) {
-    sim::RunReport report = collector->report();
-    serve::fill_serving_report(report, result);
-    const std::string path = flags.get_string("run-report");
-    if (sim::write_run_reports({report}, "memsched_serve", path)) {
-      std::printf("run report : %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write run report to %s\n", path.c_str());
-      return 1;
-    }
+  if (outputs.reporting()) {
+    outputs.keep(std::move(run.report));
+    outputs.write("memsched_serve");
+    std::printf("run report : %s\n", flags.get_string("run-report").c_str());
   }
   return 0;
 }

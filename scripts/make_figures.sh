@@ -14,7 +14,7 @@ shift $(( $# > 2 ? 2 : $# )) || true
 
 mkdir -p "$OUT_DIR"
 
-for bench in "$BUILD_DIR"/bench/fig*; do
+for bench in "$BUILD_DIR"/bench/fig[0-9]*; do
   name="$(basename "$bench")"
   csv="$OUT_DIR/$name.csv"
   echo "== $name"

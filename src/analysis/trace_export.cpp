@@ -21,18 +21,15 @@ std::string json_escape(const std::string& text) {
 
 }  // namespace
 
-bool export_chrome_trace(const core::TaskGraph& graph,
-                         const core::Platform& platform,
-                         const sim::Trace& trace, const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-
-  std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", file);
+std::string chrome_trace_json(const core::TaskGraph& graph,
+                              const core::Platform& platform,
+                              const sim::Trace& trace) {
+  std::string json = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   auto emit = [&](const std::string& line) {
-    if (!first) std::fputs(",\n", file);
+    if (!first) json += ",\n";
     first = false;
-    std::fputs(line.c_str(), file);
+    json += line;
   };
 
   // Row names.
@@ -90,10 +87,23 @@ bool export_chrome_trace(const core::TaskGraph& graph,
       }
     }
   }
-  std::fputs("\n]}\n", file);
+  json += "\n]}\n";
+  return json;
+}
+
+bool write_chrome_trace(const std::string& json, const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) return false;
+  std::fputs(json.c_str(), file);
   const bool ok = std::fflush(file) == 0;
   std::fclose(file);
   return ok;
+}
+
+bool export_chrome_trace(const core::TaskGraph& graph,
+                         const core::Platform& platform,
+                         const sim::Trace& trace, const std::string& path) {
+  return write_chrome_trace(chrome_trace_json(graph, platform, trace), path);
 }
 
 ReuseStats compute_reuse_stats(const core::TaskGraph& graph,

@@ -20,6 +20,12 @@
 
 namespace mg::analysis {
 
+/// The trace as Chrome tracing JSON, for write_chrome_trace.
+std::string chrome_trace_json(const core::TaskGraph& graph,
+                              const core::Platform& platform,
+                              const sim::Trace& trace);
+bool write_chrome_trace(const std::string& json, const std::string& path);
+
 /// Writes the trace as Chrome tracing JSON. Returns false on I/O error.
 bool export_chrome_trace(const core::TaskGraph& graph,
                          const core::Platform& platform,

@@ -35,7 +35,8 @@ inline void add_autoscale_flags(util::Flags& flags) {
                   "queue depth at/below which (with idle nodes) scale-in "
                   "pressure counts")
       .define_double("autoscale-interval-us", 50'000.0,
-                     "autoscaler sampling period in µs")
+                     "autoscaler sampling period in µs",
+                     {.min_exclusive = true})
       .define_double("autoscale-cooldown-us", 200'000.0,
                      "minimum µs between two scale decisions")
       .define_int("autoscale-hysteresis", 2,

@@ -18,9 +18,7 @@
 #include <span>
 #include <string>
 
-#include "core/metrics.hpp"
 #include "core/task_graph.hpp"
-#include "sim/engine.hpp"
 #include "sim/errors.hpp"
 
 namespace mg::sim {
@@ -53,10 +51,11 @@ inline bool mem_mb_holds_every_task(std::int64_t mem_mb,
   return false;
 }
 
-/// Runs the engine to completion; on EngineError, prints the diagnostic
-/// labelled `label` and exits with status 3.
-inline core::RunMetrics run_engine_or_exit(RuntimeEngine& engine,
-                                           const std::string& label) {
+/// Runs the engine (a RuntimeEngine or a serve::ServeEngine) to completion;
+/// on EngineError, prints the diagnostic labelled `label` and exits with
+/// status 3.
+template <class Engine>
+auto run_engine_or_exit(Engine& engine, const std::string& label) {
   try {
     return engine.run();
   } catch (const EngineError& error) {

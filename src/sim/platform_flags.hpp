@@ -1,10 +1,14 @@
-// Shared platform flag block for the driver binaries (memsched_run,
-// memsched_serve and the figure harness's bench::add_standard_flags): one
-// place defines --gpus, --mem-mb, --nodes, --net-bandwidth, --net-latency,
-// --host-mem-mb and --fault-plan, builds the core::Platform they describe
-// and loads the fault plan, so every binary spells and checks them the same
-// way (docs/CLI.md). A --nodes the GPUs cannot cover, or an unreadable fault
-// plan, is a bad flag value: the binary exits 2.
+// Shared engine flag blocks for the driver binaries (memsched_run,
+// memsched_serve and the figure harness's bench::add_standard_flags), so
+// every binary spells and checks them the same way (docs/CLI.md):
+//   * the platform: --gpus, --mem-mb, --nodes, --net-bandwidth,
+//     --net-latency and --host-mem-mb, and the core::Platform they describe;
+//   * --fault-plan, and the plan it names;
+//   * recovery: --checkpoint-interval, --checkpoint-fraction and
+//     --replicate-hot, the engine's proactive fault-tolerance knobs.
+// A binary registers a block only if it reads every flag in it. A --nodes
+// the GPUs cannot cover, or an unreadable fault plan, is a bad flag value:
+// the binary exits 2.
 #pragma once
 
 #include <cstdint>
@@ -32,16 +36,37 @@ inline void add_platform_flags(util::Flags& flags, std::int64_t default_gpus,
                   /*min_value=*/1)
       .define_double("net-bandwidth", 12.5,
                      "inter-node network bandwidth in GB/s (used when "
-                     "--nodes > 1)")
+                     "--nodes > 1)",
+                     {.min_exclusive = true})
       .define_double("net-latency", 25.0,
                      "inter-node network latency in us (used when "
                      "--nodes > 1)")
       .define_int("host-mem-mb", 0,
                   "per-node host cache of remote data in MB (0 = unbounded; "
-                  "used when --nodes > 1)")
-      .define_string("fault-plan", "",
-                     "JSON fault plan injected into every run "
-                     "(docs/ROBUSTNESS.md)");
+                  "used when --nodes > 1)");
+}
+
+/// The --fault-plan block; fault_plan_from_flags loads the plan.
+inline void add_fault_plan_flag(util::Flags& flags) {
+  flags.define_string("fault-plan", "",
+                      "JSON fault plan injected into every run "
+                      "(docs/ROBUSTNESS.md)");
+}
+
+/// The recovery block: EngineConfig's checkpoint_* and replicate_hot.
+inline void add_recovery_flags(util::Flags& flags) {
+  flags
+      .define_double("checkpoint-interval", 0.0,
+                     "checkpoint task progress every N simulated us of "
+                     "compute (0 = off)")
+      .define_double("checkpoint-fraction", 0.0,
+                     "checkpoint task progress every given fraction of each "
+                     "task (0 = off; ignored when --checkpoint-interval is "
+                     "set)",
+                     {.below = 1.0})
+      .define_bool("replicate-hot", false,
+                   "keep a second replica of hot shared data on another GPU "
+                   "while the fault plan threatens GPU losses");
 }
 
 /// The V100 platform the block describes. Non-empty `speeds` give per-GPU

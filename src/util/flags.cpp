@@ -29,21 +29,34 @@ std::vector<double> split_numbers(const std::string& text) {
   return values;
 }
 
+/// The range as text: "at least 0", "above 0 and below 1".
+std::string range_text(const ListRange& range) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%s %g",
+                range.min_exclusive ? "above" : "at least", range.min);
+  std::string out = text;
+  if (std::isfinite(range.below)) {
+    std::snprintf(text, sizeof text, " and below %g", range.below);
+    out += text;
+  }
+  return out;
+}
+
+bool in_range(double value, const ListRange& range) {
+  return std::isfinite(value) &&
+         (!range.integral || value == std::floor(value)) &&
+         (range.min_exclusive ? value > range.min : value >= range.min) &&
+         value < range.below;
+}
+
 /// Why `values` do not fit a list flag, or "" when they do.
 std::string list_problem(const std::vector<double>& values,
                          const ListRange& range, bool optional) {
   if (values.empty() && !optional) return "at least one entry";
   for (const double value : values) {
-    const bool kind = std::isfinite(value) &&
-                      (!range.integral || value == std::floor(value));
-    const bool above =
-        range.min_exclusive ? value > range.min : value >= range.min;
-    if (kind && above) continue;
-    char text[64];
-    std::snprintf(text, sizeof text, "%s numbers, each %s %g",
-                  range.integral ? "whole" : "finite",
-                  range.min_exclusive ? "above" : "at least", range.min);
-    return text;
+    if (in_range(value, range)) continue;
+    return std::string(range.integral ? "whole" : "finite") +
+           " numbers, each " + range_text(range);
   }
   return "";
 }
@@ -72,8 +85,12 @@ Flags& Flags::define_int(const std::string& name, std::int64_t default_value,
 }
 
 Flags& Flags::define_double(const std::string& name, double default_value,
-                            const std::string& help) {
-  add(name, Kind::kDouble, help).double_value = default_value;
+                            const std::string& help, ListRange range) {
+  Entry& entry = add(name, Kind::kDouble, help);
+  entry.double_value = default_value;
+  entry.range = range;
+  MG_CHECK_MSG(in_range(default_value, range),
+               "double flag default out of its range");
   return *this;
 }
 
@@ -96,7 +113,7 @@ Flags& Flags::define_list(const std::string& name,
   Entry& entry = add(name, Kind::kList, help);
   entry.string_value = default_value;
   entry.list_value = split_numbers(default_value);
-  entry.list_range = range;
+  entry.range = range;
   entry.list_optional = default_value.empty();
   MG_CHECK_MSG(list_problem(entry.list_value, range, true).empty(),
                "list flag default out of its range");
@@ -180,10 +197,19 @@ bool Flags::assign(const std::string& name, const std::string& value) {
         entry.int_value = number;
         break;
       }
-      case Kind::kDouble:
-        entry.double_value = std::stod(value, &parsed);
+      case Kind::kDouble: {
+        const double number = std::stod(value, &parsed);
         if (parsed != value.size()) throw std::invalid_argument("trailing");
+        if (!in_range(number, entry.range)) {
+          std::fprintf(stderr,
+                       "bad value for --%s: '%s' (a finite number %s)\n",
+                       name.c_str(), value.c_str(),
+                       range_text(entry.range).c_str());
+          return false;
+        }
+        entry.double_value = number;
         break;
+      }
       case Kind::kBool:
         if (value == "true" || value == "1") {
           entry.bool_value = true;
@@ -199,7 +225,7 @@ bool Flags::assign(const std::string& name, const std::string& value) {
       case Kind::kList: {
         std::vector<double> values = split_numbers(value);
         const std::string problem =
-            list_problem(values, entry.list_range, entry.list_optional);
+            list_problem(values, entry.range, entry.list_optional);
         if (!problem.empty()) {
           std::fprintf(stderr, "bad value for --%s: '%s' (%s)\n",
                        name.c_str(), value.c_str(), problem.c_str());

@@ -5,22 +5,27 @@
 // scripts), as are bad and missing values: the binary exits 2 on any of
 // them, 0 after `--help`. Int flags are counts, sizes and seeds, so a
 // value below the flag's minimum (0 unless defined otherwise) is a bad
-// value. List flags take comma-separated numbers in a declared range
-// (`--rates=25,50,100`). Positional arguments are collected in order.
+// value. Double flags take one number and list flags comma-separated
+// numbers (`--rates=25,50,100`), each in a declared range that refuses
+// negative values unless defined otherwise. Positional arguments are
+// collected in order.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace mg::util {
 
-/// Range of every entry of a list flag.
+/// Range of a double flag's value and of every entry of a list flag.
 struct ListRange {
   double min = 0.0;
   bool min_exclusive = false;  ///< entries must exceed `min`
   bool integral = false;       ///< entries must be whole numbers
+  /// Entries must stay below this (a fraction below 1).
+  double below = std::numeric_limits<double>::infinity();
 };
 
 class Flags {
@@ -32,8 +37,9 @@ class Flags {
   // not be zero.
   Flags& define_int(const std::string& name, std::int64_t default_value,
                     const std::string& help, std::int64_t min_value = 0);
+  /// A number in `range`: at least 0 unless defined otherwise.
   Flags& define_double(const std::string& name, double default_value,
-                       const std::string& help);
+                       const std::string& help, ListRange range = {});
   Flags& define_bool(const std::string& name, bool default_value,
                      const std::string& help);
   Flags& define_string(const std::string& name,
@@ -51,6 +57,11 @@ class Flags {
 
   /// Why parse() returned false: 0 after `--help`, 2 after a flag error.
   [[nodiscard]] int exit_status() const { return exit_status_; }
+
+  /// True if a flag named `name` is defined.
+  [[nodiscard]] bool has(const std::string& name) const {
+    return entries_.count(name) > 0;
+  }
 
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
@@ -76,7 +87,7 @@ class Flags {
     bool bool_value = false;
     std::string string_value;  ///< also a list flag's text
     std::vector<double> list_value;
-    ListRange list_range;
+    ListRange range;  ///< of a double or of each list entry
     bool list_optional = false;  ///< an empty default: may stay empty
   };
 

@@ -25,6 +25,7 @@
 #include "sched/hfp.hpp"
 #include "serve/admission.hpp"
 #include "serve/arrival.hpp"
+#include "serve/observed_run.hpp"
 #include "serve/union_graph.hpp"
 #include "sim/errors.hpp"
 #include "sim/fault_injector.hpp"
@@ -662,6 +663,52 @@ TEST(ServeEngine, ReportsAreBitIdenticalAcrossRuns) {
       EXPECT_NE(first.find("\"serving\""), std::string::npos);
     }
   }
+}
+
+/// A two-tier Poisson stream's report, collected by hand (collector,
+/// engine.run(), fill_serving_report) or through run_observed with the
+/// checker riding along too.
+std::string tiered_stream_json(bool through_helper) {
+  const std::vector<core::TaskGraph> templates = {make_template()};
+  std::vector<JobSpec> jobs(12);
+  for (std::uint32_t j = 0; j < jobs.size(); ++j) jobs[j].priority = j % 2;
+  ServeConfig config;
+  config.arrival.mode = ArrivalMode::kPoisson;
+  config.arrival.rate_jobs_per_s = 2e4;
+  config.arrival.seed = 3;
+  config.slo.enabled = true;
+  config.slo.tiers = slo::TierPolicy::even(2);
+  sched::DmdaScheduler scheduler;
+  ServeEngine engine(templates, jobs, test_platform(2, 100), scheduler,
+                     config);
+  if (through_helper) {
+    return sim::run_report_to_json(
+        run_observed(engine,
+                     {.check = true, .collect = true, .context = "tiered"})
+            .report);
+  }
+  sim::RunReportCollector collector(
+      {.context = "tiered", .collect_trace = false});
+  engine.add_inspector(&collector);
+  const ServeResult result = engine.run();
+  sim::RunReport report = collector.report();
+  fill_serving_report(report, result);
+  return sim::run_report_to_json(report);
+}
+
+TEST(ObservedRun, ServedReportMatchesTheHandWrittenSequence) {
+  const std::string by_hand = tiered_stream_json(false);
+  EXPECT_EQ(tiered_stream_json(true), by_hand);
+  EXPECT_NE(by_hand.find("\"slo\":{\"enabled\":true"), std::string::npos);
+  EXPECT_NE(by_hand.find("\"serving\":{\"enabled\":true"),
+            std::string::npos);
+}
+
+TEST(ObservedRunDeathTest, UnwritableReportPathExitsOne) {
+  RunOutputs outputs(testing::TempDir() + "/no-such-dir/report.json");
+  outputs.keep(sim::RunReport{});
+  EXPECT_EXIT(outputs.write("unwritable"), testing::ExitedWithCode(1),
+              "failed to write run report");
 }
 
 /// Streamed run under a permanent GPU loss with checkpointing and hot-data

@@ -169,6 +169,42 @@ TEST(Flags, RejectsBadValue) {
   ASSERT_TRUE(one.parse(2, const_cast<char**>(one_argv)));
   EXPECT_EQ(one.get_int("jobs"), 1);
 
+  // Double flags: a negative value is a bad value unless defined otherwise,
+  // a flag that must be positive refuses zero and a fraction refuses 1. A
+  // refusal names the flag and keeps the default; values inside the range
+  // are accepted.
+  struct DoubleParse {
+    bool ok;
+    double value;  // of the flag named in the argument
+    std::string error;
+  };
+  auto parse_double = [](const std::string& arg) {
+    Flags doubles;
+    doubles.define_double("ratio", 0.5, "")
+        .define_double("rate", 10.0, "", {.min_exclusive = true})
+        .define_double("fraction", 0.25, "", {.below = 1.0});
+    const char* argv[] = {"prog", arg.c_str()};
+    testing::internal::CaptureStderr();
+    DoubleParse out;
+    out.ok = doubles.parse(2, const_cast<char**>(argv));
+    out.error = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(doubles.exit_status(), out.ok ? 0 : 2) << arg;
+    out.value = doubles.get_double(arg.substr(2, arg.find('=') - 2));
+    return out;
+  };
+  for (const std::string bad : {"--ratio=-0.5", "--rate=0", "--fraction=1"}) {
+    const DoubleParse parsed = parse_double(bad);
+    EXPECT_FALSE(parsed.ok) << bad;
+    EXPECT_NE(parsed.error.find("bad value for " + bad.substr(0, bad.find('='))),
+              std::string::npos)
+        << parsed.error;
+  }
+  EXPECT_EQ(parse_double("--ratio=-0.5").value, 0.5);
+  EXPECT_EQ(parse_double("--fraction=1").value, 0.25);
+  EXPECT_EQ(parse_double("--ratio=0").value, 0.0);
+  EXPECT_EQ(parse_double("--rate=0.001").value, 0.001);
+  EXPECT_EQ(parse_double("--fraction=0.999").value, 0.999);
+
   // List flags: every entry must be a number in the flag's range, and the
   // list must not be empty unless its default is. A refusal names the flag
   // and keeps the default.
