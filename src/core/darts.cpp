@@ -12,7 +12,6 @@ std::string darts_variant_name(const DartsOptions& options) {
   if (options.opti) name += "+OPTI";
   if (options.scan_threshold > 0) name += "+threshold";
   if (options.three_inputs) name += "-3inputs";
-  if (options.incremental) name += "+incr";
   if (options.tier_boost > 0.0) name += "+tier";
   return name;
 }
@@ -57,10 +56,6 @@ void DartsScheduler::ScanList::push_back(DataId data) {
 
 void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
                              std::uint64_t seed) {
-  MG_CHECK_MSG(!options_.incremental ||
-                   (!options_.three_inputs && !options_.opti &&
-                    options_.scan_threshold == 0),
-               "incremental DARTS does not compose with the scan variants");
   graph_ = &graph;
   rng_.reseed(seed);
 
@@ -73,30 +68,29 @@ void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
       dep_pending_[task] = graph.num_predecessors(task);
     }
   }
-  if (streaming_) {
-    // Nothing has arrived yet: the shared pool fills via notify_job_arrived.
-    state_.assign(num_tasks, TaskState::kUnsubmitted);
-    available_.clear();
-    available_pos_.assign(num_tasks, kNoPos);
-  } else if (deps_) {
-    // The shared pool is the ready frontier: only tasks without
-    // predecessors start available; the rest join via notify_task_retired.
-    state_.assign(num_tasks, TaskState::kUnsubmitted);
-    available_.clear();
-    available_pos_.assign(num_tasks, kNoPos);
-    for (TaskId task = 0; task < num_tasks; ++task) {
-      if (graph.num_predecessors(task) == 0) {
-        state_[task] = TaskState::kAvailable;
-        push_to_available(task);
-      }
+  // The per-GPU state comes first: joining the shared pool updates every
+  // GPU's n(D) counts, here under an empty held mirror.
+  per_gpu_.assign(platform.num_gpus, PerGpu{});
+  for (PerGpu& gpu_state : per_gpu_) {
+    gpu_state.data_not_in_mem.init(num_data);
+    gpu_state.use_stamp.assign(num_data, 0);
+    if (full_scan()) {
+      gpu_state.held.assign(num_data, 0);
+      gpu_state.free_count.assign(num_data, 0);
     }
-  } else {
-    state_.assign(num_tasks, TaskState::kAvailable);
-    available_.resize(num_tasks);
-    available_pos_.resize(num_tasks);
+  }
+  state_.assign(num_tasks, TaskState::kUnsubmitted);
+  available_.clear();
+  available_pos_.assign(num_tasks, kNoPos);
+  // Streamed tasks join the shared pool via notify_job_arrived. Otherwise
+  // every task starts available, except on a dependency-gated run, where
+  // the pool is the ready frontier and grows via notify_task_retired.
+  if (!streaming_) {
+    available_.reserve(num_tasks);
     for (TaskId task = 0; task < num_tasks; ++task) {
-      available_[task] = task;
-      available_pos_[task] = task;
+      if (deps_ && graph.num_predecessors(task) != 0) continue;
+      state_[task] = TaskState::kAvailable;
+      push_to_available(task);
     }
   }
 
@@ -104,42 +98,6 @@ void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
   for (TaskId task = 0; task < num_tasks; ++task) {
     if (state_[task] == TaskState::kUnsubmitted) continue;
     for (DataId data : graph.inputs(task)) ++unprocessed_[data];
-  }
-  single_input_offsets_.assign(1, 0);
-  single_input_consumers_.clear();
-  for (DataId data = 0; data < num_data; ++data) {
-    for (TaskId task : graph.consumers(data)) {
-      if (graph.inputs(task).size() == 1) {
-        single_input_consumers_.push_back(task);
-      }
-    }
-    single_input_offsets_.push_back(
-        static_cast<std::uint32_t>(single_input_consumers_.size()));
-  }
-  resident_.assign(num_data, 0);
-  free_counts_.assign(num_data, 0);
-  visit_round_.assign(num_tasks, 0);
-  round_ = 0;
-
-  per_gpu_.assign(platform.num_gpus, PerGpu{});
-  for (PerGpu& gpu_state : per_gpu_) {
-    gpu_state.data_not_in_mem.init(num_data);
-    gpu_state.use_stamp.assign(num_data, 0);
-    if (options_.incremental) {
-      gpu_state.in_mem.assign(num_data, 0);
-      gpu_state.missing.resize(num_tasks);
-      gpu_state.free_count.assign(num_data, 0);
-      for (TaskId task = 0; task < num_tasks; ++task) {
-        const auto degree =
-            static_cast<std::uint32_t>(graph.inputs(task).size());
-        gpu_state.missing[task] = degree;
-        // n(D) counts *available* tasks only; a task joins the counters when
-        // its job arrives (streaming) or its last predecessor retires (deps).
-        if (state_[task] == TaskState::kAvailable && degree == 1) {
-          ++gpu_state.free_count[graph.inputs(task)[0]];
-        }
-      }
-    }
   }
   occ_hinted_ = false;
   occ_active_warps_.assign(platform.num_gpus, 0);
@@ -172,7 +130,6 @@ void DartsScheduler::submit_task(TaskId task) {
   state_[task] = TaskState::kAvailable;
   push_to_available(task);
   for (DataId data : graph_->inputs(task)) ++unprocessed_[data];
-  incremental_availability_change(task, +1);
 }
 
 void DartsScheduler::notify_job_priority(std::uint32_t job,
@@ -199,7 +156,7 @@ void DartsScheduler::notify_task_retired(
     if (dep_pending_[succ] > 0) --dep_pending_[succ];
   }
   // The enabled successors extend the ready frontier — the same move a
-  // streamed job arrival makes, including the incremental n(D) bookkeeping.
+  // streamed job arrival makes.
   for (TaskId succ : enabled_successors) submit_task(succ);
 }
 
@@ -258,24 +215,19 @@ DataId DartsScheduler::choose_candidate_successor_aware() {
 }
 
 TaskId DartsScheduler::take_available_successor_aware(
-    GpuId gpu, const MemoryView* memory) {
+    GpuId gpu, const MemoryView& memory) {
   // Locality first: a narrow ready frontier makes this fallback the common
   // case on DAG runs, and a frontier task with fewer absent inputs costs
   // fewer host loads right now. Unlock weight only breaks locality ties —
   // the reverse ordering thrashes the cache once the working set spills.
-  const PerGpu& gpu_state = per_gpu_[gpu];
   std::uint32_t best_missing = 0;
   std::uint64_t best_weight = 0;
   std::size_t tie_count = 0;
   TaskId chosen = kInvalidTask;
   for (TaskId task : available_) {
     std::uint32_t missing = 0;
-    if (options_.incremental) {
-      missing = gpu_state.missing[task];
-    } else if (memory != nullptr) {
-      for (DataId data : graph_->inputs(task)) {
-        if (!memory->is_present_or_fetching(data)) ++missing;
-      }
+    for (DataId data : graph_->inputs(task)) {
+      if (!memory.is_present_or_fetching(data)) ++missing;
     }
     const std::uint64_t weight = unlock_weight(task);
     if (chosen == kInvalidTask || missing < best_missing ||
@@ -291,17 +243,23 @@ TaskId DartsScheduler::take_available_successor_aware(
   }
   if (chosen == kInvalidTask) return kInvalidTask;
   for (DataId data : graph_->inputs(chosen)) remove_data_from_scan(gpu, data);
-  incremental_availability_change(chosen, -1);
   remove_from_available(chosen);
   mark_buffered(gpu, chosen);
   return chosen;
 }
 
 bool DartsScheduler::rest_in_memory(TaskId task, const MemoryView& memory,
-                                    DataId extra, DataId extra2) const {
+                                    DataId extra) const {
   for (DataId data : graph_->inputs(task)) {
-    if (data == extra || data == extra2) continue;
-    if (!memory.is_present_or_fetching(data)) return false;
+    if (data != extra && !memory.is_present_or_fetching(data)) return false;
+  }
+  return true;
+}
+
+bool DartsScheduler::rest_held(const PerGpu& gpu_state, TaskId task,
+                               DataId extra) const {
+  for (DataId data : graph_->inputs(task)) {
+    if (data != extra && gpu_state.held[data] == 0) return false;
   }
   return true;
 }
@@ -318,64 +276,57 @@ std::uint32_t DartsScheduler::count_free_tasks(
   return n;
 }
 
-void DartsScheduler::count_all_free_tasks(GpuId gpu,
-                                          const MemoryView& memory) {
-  const ScanList& list = per_gpu_[gpu].data_not_in_mem;
-  const auto num_data = static_cast<DataId>(resident_.size());
-  for (DataId data = 0; data < num_data; ++data) {
-    resident_[data] = memory.is_present_or_fetching(data) ? 1 : 0;
+void DartsScheduler::tally_free(PerGpu& gpu_state, TaskId task, bool add,
+                                DataId skip) const {
+  // n(D) counts the available consumers of D whose inputs other than D are
+  // all held: with one unheld input a task is free through that input only,
+  // with none through each of its inputs (a listed data can be held, e.g.
+  // an input being re-fetched), with two or more through none.
+  const auto inputs = graph_->inputs(task);
+  DataId unheld = kInvalidData;
+  for (DataId data : inputs) {
+    if (data == skip || gpu_state.held[data] != 0) continue;
+    if (unheld != kInvalidData) return;
+    unheld = data;
   }
-  // A single-input task on an absent data is free through that data, and no
-  // resident data leads to it.
-  for (DataId data = list.first(); data != list.sentinel();
-       data = list.after(data)) {
-    std::uint32_t n = 0;
-    if (resident_[data] == 0) {
-      for (std::uint32_t i = single_input_offsets_[data];
-           i < single_input_offsets_[data + 1]; ++i) {
-        if (state_[single_input_consumers_[i]] == TaskState::kAvailable) ++n;
-      }
+  const auto tally = [&](DataId data) {
+    if (add) {
+      ++gpu_state.free_count[data];
+    } else {
+      MG_DCHECK(gpu_state.free_count[data] > 0);
+      --gpu_state.free_count[data];
     }
-    free_counts_[data] = n;
+  };
+  if (unheld != kInvalidData) {
+    tally(unheld);
+  } else {
+    for (DataId data : inputs) {
+      if (data != skip) tally(data);
+    }
   }
-  // Every other free task has a resident input: visit each available
-  // consumer of resident data once. With no absent input it is free through
-  // each of its listed inputs (a listed data can be resident, e.g. an input
-  // being re-fetched); with exactly one it is free through that input only.
-  if (++round_ == 0) {
-    std::fill(visit_round_.begin(), visit_round_.end(), 0);
-    round_ = 1;
-  }
+}
+
+void DartsScheduler::sync_held(GpuId gpu, const MemoryView& memory) {
+  PerGpu& gpu_state = per_gpu_[gpu];
+  const auto num_data = static_cast<DataId>(gpu_state.held.size());
   for (DataId data = 0; data < num_data; ++data) {
-    if (resident_[data] == 0) continue;
+    const std::uint8_t held = memory.is_present_or_fetching(data) ? 1 : 0;
+    if (held == gpu_state.held[data]) continue;
+    gpu_state.held[data] = held;
+    // A consumer's count through `data` itself does not depend on `data`'s
+    // flag. Through its other inputs it counts exactly while `data` is held:
+    // the flip adds or takes out the contribution `data` unblocks.
     for (TaskId task : graph_->consumers(data)) {
-      if (state_[task] != TaskState::kAvailable ||
-          visit_round_[task] == round_) {
-        continue;
-      }
-      visit_round_[task] = round_;
-      const auto inputs = graph_->inputs(task);
-      DataId absent = kInvalidData;
-      std::uint32_t num_absent = 0;
-      for (DataId input : inputs) {
-        if (resident_[input] == 0) {
-          absent = input;
-          if (++num_absent > 1) break;
-        }
-      }
-      if (num_absent == 0) {
-        for (DataId input : inputs) {
-          if (list.contains(input)) ++free_counts_[input];
-        }
-      } else if (num_absent == 1 && list.contains(absent)) {
-        ++free_counts_[absent];
+      if (state_[task] == TaskState::kAvailable) {
+        tally_free(gpu_state, task, held != 0, data);
       }
     }
   }
 #ifndef NDEBUG
+  const ScanList& list = gpu_state.data_not_in_mem;
   for (DataId data = list.first(); data != list.sentinel();
        data = list.after(data)) {
-    MG_DCHECK(free_counts_[data] == count_free_tasks(data, memory));
+    MG_DCHECK(gpu_state.free_count[data] == count_free_tasks(data, memory));
   }
 #endif
 }
@@ -403,7 +354,6 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
   PerGpu& gpu_state = per_gpu_[gpu];
   if (!gpu_state.planned.empty()) return pop_planned(gpu);
   if (available_.empty()) return kInvalidTask;
-  if (options_.incremental) return pop_task_incremental(gpu);
 
   // Line 4-6 of Algorithm 5: find the data whose load frees the most tasks.
   // The list is scanned in submission order; the threshold variant caps how
@@ -419,10 +369,10 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
       list.contains(gpu_state.scan_cursor)) {
     scan_start = gpu_state.scan_cursor;
   }
-  // A full scan needs n(D) for every listed data: count them all in one
-  // pass. The partial OPTI and threshold scans count per visited data.
-  const bool full_scan = !options_.opti && options_.scan_threshold == 0;
-  if (full_scan) count_all_free_tasks(gpu, memory);
+  // A full scan reads the kept n(D) once its held mirror matches `memory`.
+  // The partial OPTI and threshold scans count per visited data.
+  const bool kept_counts = full_scan();
+  if (kept_counts) sync_held(gpu, memory);
   std::uint32_t n_max = 0;
   candidates_.clear();
   DataId data = scan_start;
@@ -430,8 +380,8 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
     if (data == list.sentinel()) data = list.first();  // wrap
     const DataId current = data;
     data = list.after(data);
-    const std::uint32_t n = full_scan ? free_counts_[current]
-                                      : count_free_tasks(current, memory);
+    const std::uint32_t n = kept_counts ? gpu_state.free_count[current]
+                                        : count_free_tasks(current, memory);
     if (n == 0) continue;
     if (options_.opti) {
       gpu_state.scan_cursor = data == list.sentinel() ? kInvalidData : data;
@@ -503,109 +453,24 @@ TaskId DartsScheduler::pop_task(GpuId gpu, const MemoryView& memory) {
     const TaskId task = take_three_inputs(gpu, memory);
     if (task != kInvalidTask) return task;
   }
-  return take_random_available(gpu, &memory);
-}
-
-TaskId DartsScheduler::pop_task_incremental(GpuId gpu) {
-  PerGpu& gpu_state = per_gpu_[gpu];
-  // Max n(D) over dataNotInMem; ties by unprocessed consumers, then random.
-  const ScanList& list = gpu_state.data_not_in_mem;
-  std::uint32_t n_max = 0;
-  candidates_.clear();
-  for (DataId data = list.first(); data != list.sentinel();
-       data = list.after(data)) {
-    const std::uint32_t n = gpu_state.free_count[data];
-    if (n == 0) continue;
-    if (n > n_max) {
-      n_max = n;
-      candidates_.clear();
-      candidates_.push_back(data);
-    } else if (n == n_max) {
-      candidates_.push_back(data);
-    }
-  }
-  if (n_max > 0) {
-    if (deps_) {
-      return plan_and_pop_incremental(gpu, choose_candidate_successor_aware());
-    }
-    std::uint32_t best_consumers = 0;
-    std::size_t tie_count = 0;
-    DataId chosen = kInvalidData;
-    for (DataId data : candidates_) {
-      const std::uint32_t consumers = count_unprocessed_consumers(data);
-      if (consumers > best_consumers) {
-        best_consumers = consumers;
-        chosen = data;
-        tie_count = 1;
-      } else if (consumers == best_consumers) {
-        ++tie_count;
-        if (rng_.below(tie_count) == 0) chosen = data;
-      }
-    }
-    return plan_and_pop_incremental(gpu, chosen);
-  }
-  return take_random_available(gpu, nullptr);
-}
-
-TaskId DartsScheduler::plan_and_pop_incremental(GpuId gpu, DataId data) {
-  PerGpu& gpu_state = per_gpu_[gpu];
-  free_tasks_.clear();
-  for (TaskId task : graph_->consumers(data)) {
-    // missing == 1 and the task consumes the absent `data`, so `data` is
-    // exactly its one absent input.
-    if (state_[task] == TaskState::kAvailable &&
-        gpu_state.missing[task] == 1) {
-      free_tasks_.push_back(task);
-    }
-  }
-  MG_DCHECK(free_tasks_.size() == gpu_state.free_count[data]);
-  MG_CHECK_MSG(!free_tasks_.empty(), "incremental n(D) counter desync");
-  for (TaskId task : free_tasks_) {
-    state_[task] = TaskState::kPlanned;
-    incremental_availability_change(task, -1);
-    remove_from_available(task);
-    gpu_state.planned.push_back(task);
-  }
-  remove_data_from_scan(gpu, data);
-  return pop_planned(gpu);
-}
-
-DataId DartsScheduler::sole_missing_input(GpuId gpu, TaskId task) const {
-  const PerGpu& gpu_state = per_gpu_[gpu];
-  MG_DCHECK(gpu_state.missing[task] == 1);
-  for (DataId data : graph_->inputs(task)) {
-    if (gpu_state.in_mem[data] == 0) return data;
-  }
-  MG_CHECK_MSG(false, "missing-count desync in incremental DARTS");
-  return kInvalidData;
-}
-
-void DartsScheduler::incremental_availability_change(TaskId task, int delta) {
-  if (!options_.incremental) return;
-  for (GpuId gpu = 0; gpu < per_gpu_.size(); ++gpu) {
-    PerGpu& gpu_state = per_gpu_[gpu];
-    if (gpu_state.missing[task] != 1) continue;
-    const DataId missing = sole_missing_input(gpu, task);
-    if (delta > 0) {
-      ++gpu_state.free_count[missing];
-    } else {
-      MG_DCHECK(gpu_state.free_count[missing] > 0);
-      --gpu_state.free_count[missing];
-    }
-  }
+  return take_random_available(gpu, memory);
 }
 
 TaskId DartsScheduler::plan_and_pop(GpuId gpu, const MemoryView& memory,
                                     DataId data) {
   PerGpu& gpu_state = per_gpu_[gpu];
+  // A full scan has just synced the held mirror with `memory`.
+  const bool kept_counts = full_scan();
   free_tasks_.clear();
   for (TaskId task : graph_->consumers(data)) {
     if (state_[task] == TaskState::kAvailable &&
-        rest_in_memory(task, memory, data)) {
+        (kept_counts ? rest_held(gpu_state, task, data)
+                     : rest_in_memory(task, memory, data))) {
       free_tasks_.push_back(task);
     }
   }
   MG_DCHECK(!free_tasks_.empty());
+  MG_DCHECK(!kept_counts || free_tasks_.size() == gpu_state.free_count[data]);
   for (TaskId task : free_tasks_) {
     state_[task] = TaskState::kPlanned;
     remove_from_available(task);
@@ -643,7 +508,7 @@ TaskId DartsScheduler::pop_planned(GpuId gpu) {
 }
 
 TaskId DartsScheduler::take_random_available(GpuId gpu,
-                                             const MemoryView* memory) {
+                                             const MemoryView& memory) {
   if (available_.empty()) return kInvalidTask;
   // Dependency-gated runs replace the blind uniform pick with a
   // locality-then-unlock-weight choice over the ready frontier.
@@ -668,7 +533,6 @@ TaskId DartsScheduler::take_random_available(GpuId gpu,
     task = available_[rng_.pick_index(available_)];
   }
   for (DataId data : graph_->inputs(task)) remove_data_from_scan(gpu, data);
-  incremental_availability_change(task, -1);
   remove_from_available(task);
   mark_buffered(gpu, task);
   return task;
@@ -755,28 +619,6 @@ void DartsScheduler::notify_data_loaded(GpuId gpu, DataId data) {
   // Normally the data was removed from the scan list when selected; this
   // covers loads triggered outside a planning decision.
   remove_data_from_scan(gpu, data);
-
-  if (options_.incremental) {
-    PerGpu& gpu_state = per_gpu_[gpu];
-    if (gpu_state.in_mem[data] == 0) {
-      gpu_state.in_mem[data] = 1;
-      for (TaskId task : graph_->consumers(data)) {
-        MG_DCHECK(gpu_state.missing[task] > 0);
-        if (state_[task] == TaskState::kAvailable) {
-          if (gpu_state.missing[task] == 1) {
-            // Was free via `data`; now it needs no load at all.
-            MG_DCHECK(gpu_state.free_count[data] > 0);
-            --gpu_state.free_count[data];
-          } else if (gpu_state.missing[task] == 2) {
-            --gpu_state.missing[task];
-            ++gpu_state.free_count[sole_missing_input(gpu, task)];
-            continue;
-          }
-        }
-        --gpu_state.missing[task];
-      }
-    }
-  }
 }
 
 bool DartsScheduler::notify_gpu_lost(GpuId gpu,
@@ -789,7 +631,6 @@ bool DartsScheduler::notify_gpu_lost(GpuId gpu,
     MG_DCHECK(state_[task] == TaskState::kBuffered);
     state_[task] = TaskState::kAvailable;
     push_to_available(task);
-    incremental_availability_change(task, +1);
   }
   gpu_state.buffered.clear();
 
@@ -799,41 +640,13 @@ bool DartsScheduler::notify_gpu_lost(GpuId gpu,
     MG_DCHECK(state_[task] == TaskState::kPlanned);
     state_[task] = TaskState::kAvailable;
     push_to_available(task);
-    incremental_availability_change(task, +1);
   }
   gpu_state.planned.clear();
-
-  // Drop the dead GPU's loaded-data mirror so the incremental n(D) counters
-  // stay consistent with availability changes that still sweep every GPU.
-  if (options_.incremental) {
-    for (DataId data = 0; data < gpu_state.in_mem.size(); ++data) {
-      if (gpu_state.in_mem[data] != 0) notify_data_evicted(gpu, data);
-    }
-  }
   return true;
 }
 
 void DartsScheduler::notify_data_evicted(GpuId gpu, DataId data) {
   push_data_to_scan(gpu, data);
-
-  if (options_.incremental) {
-    PerGpu& gpu_state = per_gpu_[gpu];
-    if (gpu_state.in_mem[data] != 0) {
-      for (TaskId task : graph_->consumers(data)) {
-        if (state_[task] == TaskState::kAvailable) {
-          if (gpu_state.missing[task] == 0) {
-            ++gpu_state.free_count[data];  // `data` becomes its sole miss
-          } else if (gpu_state.missing[task] == 1) {
-            const DataId other = sole_missing_input(gpu, task);
-            MG_DCHECK(gpu_state.free_count[other] > 0);
-            --gpu_state.free_count[other];
-          }
-        }
-        ++gpu_state.missing[task];
-      }
-      gpu_state.in_mem[data] = 0;
-    }
-  }
 }
 
 void DartsScheduler::on_load(GpuId gpu, DataId data) {
@@ -853,7 +666,6 @@ void DartsScheduler::on_evict(GpuId gpu, DataId data) {
     if (std::find(inputs.begin(), inputs.end(), data) != inputs.end()) {
       state_[*it] = TaskState::kAvailable;
       push_to_available(*it);
-      incremental_availability_change(*it, +1);
       it = planned.erase(it);
     } else {
       ++it;
@@ -925,12 +737,18 @@ void DartsScheduler::remove_from_available(TaskId task) {
   available_pos_[moved] = pos;
   available_.pop_back();
   available_pos_[task] = kNoPos;
+  if (full_scan()) {
+    for (PerGpu& gpu_state : per_gpu_) tally_free(gpu_state, task, false);
+  }
 }
 
 void DartsScheduler::push_to_available(TaskId task) {
   MG_DCHECK(available_pos_[task] == kNoPos);
   available_pos_[task] = static_cast<std::uint32_t>(available_.size());
   available_.push_back(task);
+  if (full_scan()) {
+    for (PerGpu& gpu_state : per_gpu_) tally_free(gpu_state, task, true);
+  }
 }
 
 void DartsScheduler::remove_data_from_scan(GpuId gpu, DataId data) {

@@ -13,17 +13,25 @@
 //     enabling the most tasks that are exactly one further load away and
 //     returns one of those tasks; otherwise a random available task is
 //     returned.
-// The full scan counts n(D) for every listed data at once, starting from
-// the data *resident* on the GPU: a free task has at most one absent input,
-// so every free task but a single-input one on an absent data consumes a
-// resident data. Visiting the available consumers of resident data (each
-// once) therefore yields the same n(D) as the per-data definition, at a
-// cost bounded by what fits in GPU memory instead of by the working set.
+// The full scan reads n(D) from counts kept per GPU instead of counting it.
+// Each GPU mirrors which data were present or fetching at its last planning
+// round and keeps, under that mirror, an exact n(D) for every data: an
+// available task with no unheld input counts toward each of its inputs, one
+// with a single unheld input toward that input, one with more toward none.
+// A task joining or leaving the available pool updates every GPU's counts,
+// and a planning round first reconciles its GPU's mirror with the MemoryView
+// it is handed, re-scoring the available consumers of each data whose
+// residency changed since. A round then costs one residency query per data
+// plus the consumers of the data loaded or evicted in between, with the
+// decisions of the per-data count. This answers the paper's first
+// future-work item (Section VI): "improve the computational complexity of
+// DARTS ... without sacrificing too much on the schedule quality".
 // The OPTI variant stops the scan at the first data with n(D) >= 1; the
 // threshold variant caps how many data the scan may visit. Both count n(D)
 // per visited data and trade schedule quality for decision time (Sections
-// V-E/V-F of the paper); with the resident-side count, the full scan can
-// cost less than the threshold variant (EXPERIMENTS.md, known deviation 4).
+// V-E/V-F of the paper); the full scan costs less than the threshold
+// variant everywhere and less than OPTI on all but the smallest working
+// sets (EXPERIMENTS.md, known deviation 4).
 //
 // Eviction side (LUF): prefer a victim used by no task of the GPU's pipeline
 // (taskBuffer), minimizing uses by plannedTasks; otherwise apply Belady's
@@ -70,17 +78,6 @@ struct DartsOptions {
   /// Cap on the number of candidate data scanned per planning round;
   /// 0 = unlimited ("threshold" variant, Section V-C).
   std::uint32_t scan_threshold = 0;
-
-  /// Incremental free-task counting (the paper's first future-work item:
-  /// "improve the computational complexity of DARTS"). Maintains n(D) per
-  /// GPU under load/evict/plan events, so a planning round costs
-  /// O(|dataNotInMem|) instead of the full scan's O(sum of consumer degrees
-  /// over the resident data). Semantics differ slightly from the scan: only
-  /// *fully loaded* data count as in memory (the runtime does not announce
-  /// fetch starts), so decisions can diverge from the scan variant while
-  /// remaining DARTS-shaped. Incompatible with three_inputs / opti /
-  /// scan_threshold.
-  bool incremental = false;
 
   /// SLO tier boost (streamed serving): folds announced job priorities into
   /// planning — deps runs add tier_boost × priority to the unlock weight,
@@ -155,17 +152,12 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
     return per_gpu_[gpu].planned;
   }
 
-  /// Incremental-mode n(D) for `data` on `gpu` (test hook: the audit test
-  /// compares this against a from-scratch recount). Only meaningful with
-  /// options().incremental.
-  [[nodiscard]] std::uint32_t incremental_free_count(GpuId gpu,
-                                                     DataId data) const {
+  /// Full scans: the kept n(D) of `data` on `gpu`, exact for the residency
+  /// `gpu`'s last planning round saw and for the current available pool
+  /// (test hook: the property test checks it against the per-data
+  /// definition).
+  [[nodiscard]] std::uint32_t free_count(GpuId gpu, DataId data) const {
     return per_gpu_[gpu].free_count[data];
-  }
-
-  /// Incremental-mode loaded-data mirror (test hook).
-  [[nodiscard]] bool incremental_in_mem(GpuId gpu, DataId data) const {
-    return per_gpu_[gpu].in_mem[data] != 0;
   }
 
  private:
@@ -208,29 +200,40 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
     std::vector<std::uint64_t> use_stamp; ///< LRU tie-break for LUF
     DataId scan_cursor = kInvalidData;    ///< rotating threshold-scan start
 
-    // Incremental mode state (empty otherwise):
-    std::vector<std::uint8_t> in_mem;        ///< loaded-data mirror
-    std::vector<std::uint32_t> missing;      ///< per-task absent-input count
-    std::vector<std::uint32_t> free_count;   ///< n(D) over available tasks
+    // Full scans only (empty otherwise):
+    std::vector<std::uint8_t> held;       ///< present or fetching, last round
+    std::vector<std::uint32_t> free_count;  ///< n(D) under `held`
   };
 
-  /// True if every input of `task` other than `extra` (and optionally
-  /// `extra2`) is already loaded or loading on the GPU behind `memory`.
+  /// OPTI and threshold scan part of the list and count per visited data;
+  /// the full scan reads the kept counts.
+  [[nodiscard]] bool full_scan() const {
+    return !options_.opti && options_.scan_threshold == 0;
+  }
+
+  /// True if every input of `task` other than `extra` is already loaded or
+  /// loading on the GPU behind `memory`.
   [[nodiscard]] bool rest_in_memory(TaskId task, const MemoryView& memory,
-                                    DataId extra,
-                                    DataId extra2 = kInvalidData) const;
+                                    DataId extra) const;
+  /// The same under `gpu_state`'s held mirror.
+  [[nodiscard]] bool rest_held(const PerGpu& gpu_state, TaskId task,
+                               DataId extra) const;
 
   /// n(D) by definition: the available consumers of `data` whose other
   /// inputs are all loaded or loading. The OPTI and threshold partial scans
-  /// pay this per visited data.
+  /// pay this per visited data; Debug builds audit the kept counts with it.
   [[nodiscard]] std::uint32_t count_free_tasks(DataId data,
                                                const MemoryView& memory) const;
 
-  /// Full scans: fills free_counts_ with n(D) for every data listed on
-  /// `gpu` in one pass over the consumers of the *resident* data, so the
-  /// cost is bounded by what fits in GPU memory rather than by the working
-  /// set.
-  void count_all_free_tasks(GpuId gpu, const MemoryView& memory);
+  /// Adds (`add`) or takes out the n(D) contributions of available `task`
+  /// under `gpu_state`'s held mirror. With a `skip` data, those it would make
+  /// if `skip` were held, except through `skip` itself.
+  void tally_free(PerGpu& gpu_state, TaskId task, bool add,
+                  DataId skip = kInvalidData) const;
+
+  /// Full scans: brings `gpu`'s held mirror in line with `memory`, re-scoring
+  /// the available consumers of every data whose flag flips.
+  void sync_held(GpuId gpu, const MemoryView& memory);
 
   [[nodiscard]] std::uint32_t count_unprocessed_consumers(DataId data) const;
   /// The same count by walking the consumers (debug cross-check).
@@ -239,6 +242,8 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   /// Streaming arrival or dependency release: `task` joins the shared pool.
   void submit_task(TaskId task);
 
+  /// Every move into or out of the shared pool goes through these two, which
+  /// keep every GPU's n(D) counts current.
   void remove_from_available(TaskId task);
   void push_to_available(TaskId task);
   void remove_data_from_scan(GpuId gpu, DataId data);
@@ -260,9 +265,8 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   }
   /// Highest announced priority among the available consumers of `data`.
   [[nodiscard]] std::uint32_t data_priority(DataId data) const;
-  /// `memory` feeds the dependency-gated fallback's locality ranking; pass
-  /// nullptr from incremental mode (which tracks missing counts itself).
-  TaskId take_random_available(GpuId gpu, const MemoryView* memory = nullptr);
+  /// `memory` feeds the dependency-gated fallback's locality ranking.
+  TaskId take_random_available(GpuId gpu, const MemoryView& memory);
   TaskId take_three_inputs(GpuId gpu, const MemoryView& memory);
   void mark_buffered(GpuId gpu, TaskId task);
 
@@ -279,15 +283,7 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   [[nodiscard]] DataId choose_candidate_successor_aware();
   /// Fallback pop: the available task with the fewest absent inputs on
   /// `gpu`, breaking ties towards the highest unlock weight.
-  TaskId take_available_successor_aware(GpuId gpu, const MemoryView* memory);
-
-  // Incremental-mode maintenance.
-  TaskId pop_task_incremental(GpuId gpu);
-  TaskId plan_and_pop_incremental(GpuId gpu, DataId data);
-  /// The single absent input of `task` on `gpu` (incremental state).
-  [[nodiscard]] DataId sole_missing_input(GpuId gpu, TaskId task) const;
-  /// Adjusts n(D) when `task` enters/leaves the available pool.
-  void incremental_availability_change(TaskId task, int delta);
+  TaskId take_available_successor_aware(GpuId gpu, const MemoryView& memory);
 
   DartsOptions options_;
   std::string name_;
@@ -309,17 +305,6 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   /// Unprocessed consumers per data (the lines 8-9 tie-break): +1 per input
   /// when a task leaves kUnsubmitted, -1 when it reaches kDone.
   std::vector<std::uint32_t> unprocessed_;
-
-  /// Single-input consumers per data (CSR): a single-input task whose input
-  /// is absent is the one free task no resident data reaches.
-  std::vector<std::uint32_t> single_input_offsets_;
-  std::vector<TaskId> single_input_consumers_;
-
-  // count_all_free_tasks state, reused across rounds.
-  std::vector<std::uint8_t> resident_;       ///< per data, this round
-  std::vector<std::uint32_t> free_counts_;   ///< n(D), listed data only
-  std::vector<std::uint32_t> visit_round_;   ///< per task: last round seen
-  std::uint32_t round_ = 0;
 
   /// Occupancy-sharing hints (armed by the first notify_occupancy; sharing
   /// off leaves pop order untouched).

@@ -56,14 +56,6 @@ std::uint64_t TaskGraph::input_bytes(TaskId task) const {
   return bytes;
 }
 
-std::uint64_t TaskGraph::max_task_footprint() const {
-  std::uint64_t best = 0;
-  for (TaskId task = 0; task < num_tasks(); ++task) {
-    best = std::max(best, input_bytes(task) + task_output_bytes(task));
-  }
-  return best;
-}
-
 const std::string& TaskGraph::task_label(TaskId task) const {
   if (task_labels_.empty()) return kEmptyLabel;
   return task_labels_[task];
@@ -166,16 +158,20 @@ TaskGraph TaskGraphBuilder::build() && {
   graph.task_labels_ = std::move(task_labels_);
   graph.data_labels_ = std::move(data_labels_);
 
-  // Reverse CSR: data -> consumers, stable in task order.
+  // Reverse CSR: data -> consumers, stable in task order. The same walk
+  // over every input finds the largest task footprint.
   const auto num_data = static_cast<std::uint32_t>(graph.data_sizes_.size());
   graph.data_offsets_ = bucket_offsets(num_data, graph.task_inputs_, kIdentity);
   graph.data_consumers_.resize(graph.task_inputs_.size());
   std::vector<std::uint32_t> cursor(graph.data_offsets_.begin(),
                                     graph.data_offsets_.end() - 1);
   for (TaskId task = 0; task < graph.num_tasks(); ++task) {
+    std::uint64_t footprint = graph.task_output_bytes(task);
     for (const DataId data : graph.inputs(task)) {
       graph.data_consumers_[cursor[data]++] = task;
+      footprint += graph.data_sizes_[data];
     }
+    graph.max_task_footprint_ = std::max(graph.max_task_footprint_, footprint);
   }
 
   graph.total_flops_ =

@@ -127,7 +127,9 @@ class TaskGraph {
 
   /// Largest single-task footprint (inputs + output scratch); must fit in
   /// GPU memory for any schedule to exist.
-  [[nodiscard]] std::uint64_t max_task_footprint() const;
+  [[nodiscard]] std::uint64_t max_task_footprint() const {
+    return max_task_footprint_;
+  }
 
   /// Optional human-readable label (kernel name, tile coordinates).
   [[nodiscard]] const std::string& task_label(TaskId task) const;
@@ -214,6 +216,7 @@ class TaskGraph {
   std::vector<std::string> data_labels_;      // empty when no labels
   double total_flops_ = 0.0;
   std::uint64_t working_set_bytes_ = 0;
+  std::uint64_t max_task_footprint_ = 0;
 
   // Dependency CSRs — all empty on an independent-task graph.
   std::vector<std::uint32_t> dep_succ_offsets_;  // size m+1 when edges exist

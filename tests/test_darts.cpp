@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/hierarchical.hpp"
 #include "core/task_graph.hpp"
 #include "decision_pin.hpp"
 #include "serve/serve_engine.hpp"
@@ -16,6 +17,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace mg::core {
@@ -30,25 +32,25 @@ core::Platform one_gpu_platform() {
 
 /// MemoryView stub with an explicit resident set and, optionally, data
 /// whose transfer is still in flight.
+/// MemoryView whose residency a test sets, and may edit between pops.
 class StubMemory final : public MemoryView {
  public:
-  explicit StubMemory(std::set<DataId> present = {},
-                      std::set<DataId> fetching = {})
-      : present_(std::move(present)), fetching_(std::move(fetching)) {}
+  explicit StubMemory(std::set<DataId> present_data = {},
+                      std::set<DataId> fetching_data = {})
+      : present(std::move(present_data)), fetching(std::move(fetching_data)) {}
   [[nodiscard]] bool is_present(DataId data) const override {
-    return present_.contains(data);
+    return present.contains(data);
   }
   [[nodiscard]] bool is_present_or_fetching(DataId data) const override {
-    return present_.contains(data) || fetching_.contains(data);
+    return present.contains(data) || fetching.contains(data);
   }
   [[nodiscard]] std::uint64_t capacity_bytes() const override { return 1000; }
   [[nodiscard]] std::uint64_t used_bytes() const override {
-    return 10 * (present_.size() + fetching_.size());
+    return 10 * (present.size() + fetching.size());
   }
 
- private:
-  std::set<DataId> present_;
-  std::set<DataId> fetching_;
+  std::set<DataId> present;
+  std::set<DataId> fetching;
 };
 
 TEST(DartsName, ComposesVariantNames) {
@@ -398,6 +400,253 @@ TEST(DartsLuf, EvictionPolicyOnlyWiredWhenEnabled) {
   EXPECT_EQ(without_luf.eviction_policy(0), nullptr);
 }
 
+// --- Kept free counts --------------------------------------------------------
+//
+// The full scan reads n(D) from counts kept per GPU under a mirror of the
+// residency each planning round saw. Random runs drive one DARTS through
+// residency changes it is told of and changes it is not, pool changes and a
+// GPU loss; after every planning round, every data's kept count on the
+// planning GPU must equal n(D) by its definition.
+
+enum class Pool { kBatch, kStreamed, kDependencies };
+
+/// A random bipartite graph with 1-4 inputs per task; with dependencies,
+/// each task also waits on up to two random earlier tasks.
+TaskGraph random_case_graph(std::uint64_t seed, bool with_dependencies) {
+  util::Rng rng(seed);
+  const TaskGraph base = work::make_random_bipartite(
+      {.num_tasks = 12 + static_cast<std::uint32_t>(rng.below(40)),
+       .num_data = 4 + static_cast<std::uint32_t>(rng.below(14)),
+       .min_inputs = 1,
+       .max_inputs = 4,
+       .data_bytes = 10,
+       .seed = seed});
+  if (!with_dependencies) return base;
+  TaskGraphBuilder builder;
+  for (DataId data = 0; data < base.num_data(); ++data) {
+    builder.add_data(base.data_size(data));
+  }
+  for (TaskId task = 0; task < base.num_tasks(); ++task) {
+    builder.add_task(base.task_flops(task), base.inputs(task));
+    if (task == 0) continue;
+    const auto first = static_cast<TaskId>(rng.below(task));
+    const auto second = static_cast<TaskId>(rng.below(task));
+    if (rng.chance(0.5)) builder.add_dependency(first, task);
+    if (second != first && rng.chance(0.3)) {
+      builder.add_dependency(second, task);
+    }
+  }
+  return builder.build();
+}
+
+/// One random case; returns the number of planning rounds it audited.
+std::uint32_t run_free_count_case(std::uint64_t seed, std::uint32_t gpus,
+                                  Pool pool) {
+  const TaskGraph graph = random_case_graph(seed, pool == Pool::kDependencies);
+  util::Rng rng(seed * 31 + 7);
+  DartsScheduler darts{
+      DartsOptions{.use_luf = true, .three_inputs = rng.chance(0.3)}};
+  if (pool == Pool::kStreamed) EXPECT_TRUE(darts.begin_streaming());
+  if (pool == Pool::kDependencies) EXPECT_TRUE(darts.begin_dependencies());
+  Platform platform;
+  platform.num_gpus = gpus;
+  darts.prepare(graph, platform, seed);
+
+  const std::uint32_t num_tasks = graph.num_tasks();
+  const std::uint32_t num_data = graph.num_data();
+  std::vector<StubMemory> memory(gpus);
+  std::vector<std::vector<TaskId>> running(gpus);
+  std::vector<std::uint8_t> alive(gpus, 1);
+  // In the pool unless taken, planned or not yet arrived/enabled.
+  std::vector<std::uint8_t> joined(num_tasks, pool == Pool::kBatch ? 1 : 0);
+  std::vector<std::uint8_t> taken(num_tasks, 0);
+  std::vector<std::uint32_t> pending(num_tasks, 0);
+  if (pool == Pool::kDependencies) {
+    for (TaskId task = 0; task < num_tasks; ++task) {
+      pending[task] = graph.num_predecessors(task);
+      joined[task] = pending[task] == 0 ? 1 : 0;
+    }
+  }
+  TaskId next_arrival = 0;
+  std::uint32_t next_job = 0;
+
+  auto available_tasks = [&] {
+    std::vector<std::uint8_t> available(num_tasks, 0);
+    for (TaskId task = 0; task < num_tasks; ++task) {
+      available[task] = joined[task] != 0 && taken[task] == 0 ? 1 : 0;
+    }
+    for (GpuId gpu = 0; gpu < gpus; ++gpu) {
+      for (TaskId task : darts.planned_tasks(gpu)) available[task] = 0;
+    }
+    return available;
+  };
+  auto audit = [&](GpuId gpu, int step) {
+    const std::vector<std::uint8_t> available = available_tasks();
+    for (DataId data = 0; data < num_data; ++data) {
+      std::uint32_t expected = 0;
+      for (TaskId task : graph.consumers(data)) {
+        if (available[task] == 0) continue;
+        bool rest_held = true;
+        for (DataId input : graph.inputs(task)) {
+          if (input != data && !memory[gpu].is_present_or_fetching(input)) {
+            rest_held = false;
+          }
+        }
+        if (rest_held) ++expected;
+      }
+      EXPECT_EQ(darts.free_count(gpu, data), expected)
+          << "seed " << seed << ", step " << step << ", gpu " << gpu
+          << ", data " << data;
+    }
+  };
+  auto random_data = [&](auto&& pred) {
+    std::vector<DataId> matches;
+    for (DataId data = 0; data < num_data; ++data) {
+      if (pred(data)) matches.push_back(data);
+    }
+    return matches.empty() ? kInvalidData : matches[rng.pick_index(matches)];
+  };
+  auto random_gpu = [&] {
+    GpuId gpu = static_cast<GpuId>(rng.below(gpus));
+    while (alive[gpu] == 0) gpu = (gpu + 1) % gpus;
+    return gpu;
+  };
+
+  std::uint32_t rounds = 0;
+  for (int step = 0; step < 200 && !testing::Test::HasFailure(); ++step) {
+    const GpuId gpu = random_gpu();
+    StubMemory& view = memory[gpu];
+    const auto held = [&](DataId data) {
+      return view.is_present_or_fetching(data);
+    };
+    const auto drop = [&](DataId data) {
+      view.present.erase(data);
+      view.fetching.erase(data);
+    };
+    switch (rng.below(10)) {
+      case 0: {  // a fetch starts (schedulers are not told)
+        const DataId data =
+            random_data([&](DataId candidate) { return !held(candidate); });
+        if (data != kInvalidData) view.fetching.insert(data);
+        break;
+      }
+      case 1: {  // a fetch lands
+        const DataId data = random_data([&](DataId candidate) {
+          return view.fetching.contains(candidate);
+        });
+        if (data == kInvalidData) break;
+        view.fetching.erase(data);
+        view.present.insert(data);
+        darts.on_load(gpu, data);
+        darts.notify_data_loaded(gpu, data);
+        break;
+      }
+      case 2: {  // an eviction, announced or (like a drain's wipe) not
+        const DataId data = random_data(held);
+        if (data == kInvalidData) break;
+        drop(data);
+        if (rng.chance(0.5)) {
+          darts.on_evict(gpu, data);
+          darts.notify_data_evicted(gpu, data);
+        }
+        break;
+      }
+      case 3:  // the whole GPU is wiped without a word
+        if (rng.chance(0.2)) {
+          view.present.clear();
+          view.fetching.clear();
+        }
+        break;
+      case 4: {  // LUF evicts an input of a planned task
+        const auto& planned = darts.planned_tasks(gpu);
+        if (planned.empty()) break;
+        const auto inputs = graph.inputs(planned[rng.pick_index(planned)]);
+        const DataId data = inputs[rng.pick_index(inputs)];
+        darts.on_evict(gpu, data);
+        drop(data);
+        darts.notify_data_evicted(gpu, data);
+        break;
+      }
+      case 5: {  // a job arrives, or a running task retires
+        if (pool == Pool::kStreamed && next_arrival < num_tasks &&
+            rng.chance(0.5)) {
+          const TaskId end = std::min<TaskId>(
+              num_tasks, next_arrival + 1 + static_cast<TaskId>(rng.below(6)));
+          std::vector<TaskId> tasks;
+          for (; next_arrival < end; ++next_arrival) {
+            joined[next_arrival] = 1;
+            tasks.push_back(next_arrival);
+          }
+          darts.notify_job_arrived(next_job++, tasks);
+          break;
+        }
+        if (running[gpu].empty()) break;
+        const std::size_t index = rng.pick_index(running[gpu]);
+        const TaskId task = running[gpu][index];
+        running[gpu].erase(running[gpu].begin() +
+                           static_cast<std::ptrdiff_t>(index));
+        darts.notify_task_complete(gpu, task);
+        if (pool == Pool::kDependencies) {
+          std::vector<TaskId> enabled;
+          for (TaskId succ : graph.successors(task)) {
+            if (--pending[succ] == 0) {
+              joined[succ] = 1;
+              enabled.push_back(succ);
+            }
+          }
+          darts.notify_task_retired(task, enabled);
+        }
+        break;
+      }
+      case 6:  // a GPU is lost: its running tasks are orphaned
+        if (gpus > 1 && rng.chance(0.1) &&
+            std::count(alive.begin(), alive.end(), 1) > 1) {
+          for (TaskId task : running[gpu]) taken[task] = 0;
+          EXPECT_TRUE(darts.notify_gpu_lost(gpu, running[gpu]));
+          running[gpu].clear();
+          alive[gpu] = 0;
+        }
+        break;
+      default: {  // a pop, which may run a planning round
+        const std::vector<std::uint8_t> available = available_tasks();
+        const bool plans =
+            darts.planned_tasks(gpu).empty() &&
+            std::find(available.begin(), available.end(), 1) !=
+                available.end();
+        const TaskId task = darts.pop_task(gpu, view);
+        if (task == kInvalidTask) break;
+        taken[task] = 1;
+        running[gpu].push_back(task);
+        if (plans) {
+          audit(gpu, step);
+          ++rounds;
+        }
+        // The runtime starts fetching the task's absent inputs.
+        for (DataId data : graph.inputs(task)) {
+          if (!held(data) && rng.chance(0.7)) view.fetching.insert(data);
+        }
+        break;
+      }
+    }
+  }
+  return rounds;
+}
+
+TEST(DartsFreeCounts, KeptCountsMatchTheDefinitionAfterEveryRound) {
+  std::uint32_t cases = 0;
+  std::uint32_t rounds = 0;
+  for (std::uint64_t seed = 1; seed <= 108 && !HasFailure(); ++seed) {
+    for (const Pool pool :
+         {Pool::kBatch, Pool::kStreamed, Pool::kDependencies}) {
+      const std::uint32_t gpus = std::uint32_t{1} << (seed % 3);
+      rounds += run_free_count_case(seed, gpus, pool);
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 324u);
+  EXPECT_GT(rounds, 10u * cases);
+}
+
 // --- Decision pins ----------------------------------------------------------
 //
 // Whole runs whose recorded trace, load and eviction counts and makespan are
@@ -502,6 +751,54 @@ Pin run_tiered_stream() {
   return pin_of(recorder.trace(), result.metrics);
 }
 
+Pin run_hierarchical() {
+  // Two nodes of two GPUs: each node's DARTS+LUF sees its GPUs' memory
+  // through the wrapper's id-translating view, and a drained node steals
+  // from the other node's DARTS, which then plans for one of its own GPUs
+  // against the thief's memory.
+  const TaskGraph graph = work::make_cholesky_tasks({.n = 16});
+  Platform platform = make_v100_platform(4, 100 * kMB);
+  platform.num_nodes = 2;
+  cluster::HierarchicalScheduler hierarchical(
+      [] { return std::make_unique<DartsScheduler>(); });
+  sim::RuntimeEngine engine(graph, platform, hierarchical, {.seed = 7});
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
+  const RunMetrics metrics = engine.run();
+  EXPECT_GT(hierarchical.steal_count(), 0u);
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  return pin_of(recorder.trace(), metrics);
+}
+
+Pin run_poisson_stream() {
+  // Open-loop arrivals: jobs land while the GPUs run, so tasks join the
+  // shared pool between one GPU's planning rounds.
+  const std::vector<TaskGraph> templates = {
+      work::make_matmul_2d({.n = 5}), work::make_matmul_2d({.n = 6})};
+  std::vector<serve::JobSpec> jobs(24);
+  for (std::uint32_t job = 0; job < jobs.size(); ++job) {
+    jobs[job].graph = job % 2;
+  }
+  serve::ServeConfig config;
+  config.arrival.mode = serve::ArrivalMode::kPoisson;
+  config.arrival.rate_jobs_per_s = 60.0;
+  config.arrival.seed = 3;
+  config.engine.seed = 7;
+  DartsScheduler darts;
+  serve::ServeEngine engine(templates, jobs, make_v100_platform(2, 100 * kMB),
+                            darts, config);
+  sim::RunReportCollector recorder;
+  sim::InvariantChecker checker({.fail_fast = false});
+  engine.add_inspector(&recorder);
+  engine.add_inspector(&checker);
+  const serve::ServeResult result = engine.run();
+  EXPECT_EQ(result.serving.jobs_completed, jobs.size());
+  EXPECT_TRUE(checker.ok()) << checker.report().error;
+  return pin_of(recorder.trace(), result.metrics);
+}
+
 struct PinCase {
   const char* name;
   Pin (*run)();
@@ -509,7 +806,7 @@ struct PinCase {
 };
 
 // Reference values: counting n(D) per data by its definition gives these
-// runs, and the full scan's resident-side count must reproduce them.
+// runs, and the full scan's kept counts must reproduce them.
 const PinCase kPinCases[] = {
     {"Matmul2dLuf", run_matmul2d_luf,
      {0x7dba49eb51f54af4ULL, 749, 693, 667117.0550064136}},
@@ -529,6 +826,10 @@ const PinCase kPinCases[] = {
      {0xf80be78b92e9e568ULL, 330, 277, 335722.68241152837}},
     {"TieredStream", run_tiered_stream,
      {0x99f63e8d2350119bULL, 414, 400, 397216.79544254154}},
+    {"HierarchicalDarts", run_hierarchical,
+     {0xb3759084fb1faf36ULL, 505, 397, 76725.5962683166}},
+    {"PoissonStream", run_poisson_stream,
+     {0x948325bb2f8f8fdfULL, 427, 413, 446638.97615699453}},
 };
 
 // gtest prints the parameter into each test's listed name; print the case

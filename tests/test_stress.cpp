@@ -44,10 +44,6 @@ std::unique_ptr<core::Scheduler> make_scheduler(const std::string& kind) {
   if (kind == "hfp") return std::make_unique<sched::HfpScheduler>();
   if (kind == "hmetis") return std::make_unique<sched::HmetisScheduler>();
   if (kind == "darts_luf") return std::make_unique<core::DartsScheduler>();
-  if (kind == "darts_incr") {
-    return std::make_unique<core::DartsScheduler>(
-        core::DartsOptions{.use_luf = true, .incremental = true});
-  }
   ADD_FAILURE() << "unknown scheduler " << kind;
   return nullptr;
 }
@@ -124,8 +120,8 @@ TEST_P(StressTest, IrregularWorkloadUnderPressure) {
 
 std::vector<StressCase> stress_cases() {
   std::vector<StressCase> cases;
-  const char* schedulers[] = {"eager", "dmdar", "hfp",
-                              "hmetis", "darts_luf", "darts_incr"};
+  const char* schedulers[] = {"eager", "dmdar", "hfp", "hmetis",
+                              "darts_luf"};
   int rotation = 0;
   for (const char* scheduler : schedulers) {
     for (std::uint64_t seed : {11ull, 77ull}) {
