@@ -31,7 +31,9 @@ int main(int argc, char** argv) {
       .define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("gpus", 8, "GPUs (spread over --nodes)", /*min_value=*/1)
       .define_int("nodes", 4, "cluster nodes")
-      .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
+      .define_int("repeat", 200,
+                  "timed repetitions (~0.5 s in all); fastest wall time wins",
+                  /*min_value=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   std::vector<core::TaskGraph> templates;

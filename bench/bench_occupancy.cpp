@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
       .define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("gpus", 4, "GPUs", /*min_value=*/1)
       .define_double("threshold", 1.0, "sharing admission threshold")
-      .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
+      .define_int("repeat", 50,
+                  "timed repetitions (~0.5 s in all); fastest wall time wins",
+                  /*min_value=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   std::vector<core::TaskGraph> templates;

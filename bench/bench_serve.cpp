@@ -34,7 +34,9 @@ int main(int argc, char** argv) {
       .define_int("jobs", 120, "jobs in the burst", /*min_value=*/1)
       .define_int("n", 8, "matmul template dimension (N)", /*min_value=*/1)
       .define_int("gpus", 4, "GPUs", /*min_value=*/1)
-      .define_int("repeat", 3, "timed repetitions; fastest wall time wins");
+      .define_int("repeat", 300,
+                  "timed repetitions (~0.5 s in all); fastest wall time wins",
+                  /*min_value=*/1);
   if (!flags.parse(argc, argv)) return flags.exit_status();
 
   std::vector<core::TaskGraph> templates;

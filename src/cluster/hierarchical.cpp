@@ -12,18 +12,18 @@ namespace mg::cluster {
 namespace {
 
 /// MemoryView a node's inner scheduler sees: node-local data ids, backed by
-/// the physical GPU's global view.
+/// the physical GPU's global view. Its residency bytes are the base's, read
+/// through the node's local-to-global id map.
 class TranslatingMemoryView final : public core::MemoryView {
  public:
   TranslatingMemoryView(const core::MemoryView& base,
                         const std::vector<core::DataId>& local_to_global)
-      : base_(base), local_to_global_(local_to_global) {}
+      : base_(base), local_to_global_(local_to_global) {
+    register_residency(base, local_to_global);
+  }
 
   [[nodiscard]] bool is_present(core::DataId data) const override {
     return base_.is_present(local_to_global_[data]);
-  }
-  [[nodiscard]] bool is_present_or_fetching(core::DataId data) const override {
-    return base_.is_present_or_fetching(local_to_global_[data]);
   }
   [[nodiscard]] std::uint64_t capacity_bytes() const override {
     return base_.capacity_bytes();

@@ -74,6 +74,10 @@ void DartsScheduler::prepare(const TaskGraph& graph, const Platform& platform,
   for (PerGpu& gpu_state : per_gpu_) {
     gpu_state.data_not_in_mem.init(num_data);
     gpu_state.use_stamp.assign(num_data, 0);
+    if (options_.use_luf) {
+      gpu_state.buffered_uses.assign(num_data, 0);
+      gpu_state.planned_uses.assign(num_data, 0);
+    }
     if (full_scan()) {
       gpu_state.held.assign(num_data, 0);
       gpu_state.free_count.assign(num_data, 0);
@@ -475,6 +479,7 @@ TaskId DartsScheduler::plan_and_pop(GpuId gpu, const MemoryView& memory,
     state_[task] = TaskState::kPlanned;
     remove_from_available(task);
     gpu_state.planned.push_back(task);
+    count_uses(gpu_state.planned_uses, task, true);
   }
   remove_data_from_scan(gpu, data);
   return pop_planned(gpu);
@@ -496,6 +501,7 @@ TaskId DartsScheduler::pop_planned(GpuId gpu) {
       if (warps != 0 && warps <= free) {
         gpu_state.planned.erase(gpu_state.planned.begin() +
                                 static_cast<std::ptrdiff_t>(i));
+        count_uses(gpu_state.planned_uses, candidate, false);
         mark_buffered(gpu, candidate);
         return candidate;
       }
@@ -503,8 +509,21 @@ TaskId DartsScheduler::pop_planned(GpuId gpu) {
   }
   const TaskId task = gpu_state.planned.front();
   gpu_state.planned.pop_front();
+  count_uses(gpu_state.planned_uses, task, false);
   mark_buffered(gpu, task);
   return task;
+}
+
+void DartsScheduler::count_uses(std::vector<std::uint32_t>& uses, TaskId task,
+                                bool add) const {
+  if (uses.empty()) return;
+  for (DataId data : graph_->inputs(task)) {
+    if (add) {
+      ++uses[data];
+    } else {
+      --uses[data];
+    }
+  }
 }
 
 TaskId DartsScheduler::take_random_available(GpuId gpu,
@@ -600,6 +619,7 @@ TaskId DartsScheduler::take_three_inputs(GpuId gpu, const MemoryView& memory) {
 void DartsScheduler::mark_buffered(GpuId gpu, TaskId task) {
   state_[task] = TaskState::kBuffered;
   per_gpu_[gpu].buffered.push_back(task);
+  count_uses(per_gpu_[gpu].buffered_uses, task, true);
 }
 
 void DartsScheduler::notify_task_complete(GpuId gpu, TaskId task) {
@@ -612,7 +632,10 @@ void DartsScheduler::notify_task_complete(GpuId gpu, TaskId task) {
   // completion against this GPU.
   auto& buffered = per_gpu_[gpu].buffered;
   auto it = std::find(buffered.begin(), buffered.end(), task);
-  if (it != buffered.end()) buffered.erase(it);
+  if (it != buffered.end()) {
+    buffered.erase(it);
+    count_uses(per_gpu_[gpu].buffered_uses, task, false);
+  }
 }
 
 void DartsScheduler::notify_data_loaded(GpuId gpu, DataId data) {
@@ -633,6 +656,7 @@ bool DartsScheduler::notify_gpu_lost(GpuId gpu,
     push_to_available(task);
   }
   gpu_state.buffered.clear();
+  std::fill(gpu_state.buffered_uses.begin(), gpu_state.buffered_uses.end(), 0);
 
   // Planned-but-unpopped tasks were reserved for the dead GPU; release the
   // reservation the same way Algorithm 6 line 8 does after an eviction.
@@ -642,6 +666,7 @@ bool DartsScheduler::notify_gpu_lost(GpuId gpu,
     push_to_available(task);
   }
   gpu_state.planned.clear();
+  std::fill(gpu_state.planned_uses.begin(), gpu_state.planned_uses.end(), 0);
   return true;
 }
 
@@ -660,12 +685,14 @@ void DartsScheduler::on_use(GpuId gpu, DataId data) {
 void DartsScheduler::on_evict(GpuId gpu, DataId data) {
   // Algorithm 6 line 8: planned tasks depending on the victim go back to the
   // shared pool (their placement is reconsidered later).
-  auto& planned = per_gpu_[gpu].planned;
+  PerGpu& gpu_state = per_gpu_[gpu];
+  auto& planned = gpu_state.planned;
   for (auto it = planned.begin(); it != planned.end();) {
     const auto inputs = graph_->inputs(*it);
     if (std::find(inputs.begin(), inputs.end(), data) != inputs.end()) {
       state_[*it] = TaskState::kAvailable;
       push_to_available(*it);
+      count_uses(gpu_state.planned_uses, *it, false);
       it = planned.erase(it);
     } else {
       ++it;
@@ -677,9 +704,10 @@ DataId DartsScheduler::choose_victim(GpuId gpu,
                                      std::span<const DataId> candidates) {
   const PerGpu& gpu_state = per_gpu_[gpu];
 
-  // nb(D): uses by taskBuffer; np(D): uses by plannedTasks. Both computed on
-  // the candidate set only, via the (small) task lists.
-  auto count_uses = [this](const auto& tasks, DataId data) {
+  // nb(D): uses by taskBuffer; np(D): uses by plannedTasks, both kept as the
+  // lists change. Debug builds recount them by walking the lists.
+#ifndef NDEBUG
+  auto walk_uses = [this](const auto& tasks, DataId data) {
     std::uint32_t uses = 0;
     for (TaskId task : tasks) {
       const auto inputs = graph_->inputs(task);
@@ -689,6 +717,7 @@ DataId DartsScheduler::choose_victim(GpuId gpu,
     }
     return uses;
   };
+#endif
 
   // Line 5 of Algorithm 6: among data unused by the pipeline, evict the one
   // with the fewest planned uses. The paper leaves ties unspecified; we
@@ -698,8 +727,12 @@ DataId DartsScheduler::choose_victim(GpuId gpu,
   std::uint32_t best_np = ~std::uint32_t{0};
   std::uint64_t best_stamp = ~std::uint64_t{0};
   for (DataId data : candidates) {
-    if (count_uses(gpu_state.buffered, data) != 0) continue;
-    const std::uint32_t np = count_uses(gpu_state.planned, data);
+    MG_DCHECK(gpu_state.buffered_uses[data] ==
+              walk_uses(gpu_state.buffered, data));
+    MG_DCHECK(gpu_state.planned_uses[data] ==
+              walk_uses(gpu_state.planned, data));
+    if (gpu_state.buffered_uses[data] != 0) continue;
+    const std::uint32_t np = gpu_state.planned_uses[data];
     const std::uint64_t stamp = gpu_state.use_stamp[data];
     if (np < best_np || (np == best_np && stamp < best_stamp)) {
       best_np = np;

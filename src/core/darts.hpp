@@ -35,8 +35,9 @@
 //
 // Eviction side (LUF): prefer a victim used by no task of the GPU's pipeline
 // (taskBuffer), minimizing uses by plannedTasks; otherwise apply Belady's
-// rule over the pipeline. Planned tasks that depended on the evicted data
-// return to the available pool.
+// rule over the pipeline. Both use counts are kept per GPU and data as the
+// two lists change, so a choice reads them per candidate. Planned tasks that
+// depended on the evicted data return to the available pool.
 //
 // Dependency-gated runs (DAG workloads): the shared pool holds exactly the
 // *ready frontier* — tasks whose predecessors all retired — maintained
@@ -200,6 +201,11 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
     std::vector<std::uint64_t> use_stamp; ///< LRU tie-break for LUF
     DataId scan_cursor = kInvalidData;    ///< rotating threshold-scan start
 
+    // LUF only (empty otherwise): per data, the tasks of `buffered` and of
+    // `planned` that read it.
+    std::vector<std::uint32_t> buffered_uses;
+    std::vector<std::uint32_t> planned_uses;
+
     // Full scans only (empty otherwise):
     std::vector<std::uint8_t> held;       ///< present or fetching, last round
     std::vector<std::uint32_t> free_count;  ///< n(D) under `held`
@@ -254,6 +260,11 @@ class DartsScheduler final : public Scheduler, public EvictionPolicy {
   TaskId plan_and_pop(GpuId gpu, const MemoryView& memory, DataId data);
 
   TaskId pop_planned(GpuId gpu);
+
+  /// LUF: counts `task`'s inputs into (`add`) or out of `uses`, one of a
+  /// GPU's per-data use counts; a no-op without LUF, which keeps none.
+  void count_uses(std::vector<std::uint32_t>& uses, TaskId task,
+                  bool add) const;
 
   // SLO tier boost (armed only with options_.tier_boost > 0 and a nonzero
   // announced priority, so default runs take the exact untiered paths).

@@ -95,10 +95,13 @@ struct BalanceBounds {
 // Fiduccia–Mattheyses delta rules for moving v: before the move, a net's
 // other pins change gain only when its to-side count is 0 or 1 or its
 // from-side count is 1 or 2. v's own gain becomes its negation, so `gain`
-// stays exact for every vertex, locked ones included.
+// stays exact for every vertex, locked ones included. `changed(u, before)`
+// follows each update of another pin u's gain.
+template <typename OnChange>
 void update_gains_for_move(const Hypergraph& hypergraph,
                            const Bisection& bisection, VertexId v,
-                           std::vector<std::int64_t>& gain) {
+                           std::vector<std::int64_t>& gain,
+                           OnChange&& changed) {
   const std::uint8_t from = bisection.side[v];
   const std::uint8_t to = static_cast<std::uint8_t>(1 - from);
   for (NetId e : hypergraph.nets_of(v)) {
@@ -115,7 +118,11 @@ void update_gains_for_move(const Hypergraph& hypergraph,
         -((to_count == 1 ? w : 0) + (from_count == 1 ? w : 0));
     if (from_delta == 0 && to_delta == 0) continue;
     for (VertexId u : hypergraph.pins(e)) {
-      if (u != v) gain[u] += bisection.side[u] == from ? from_delta : to_delta;
+      const std::int64_t delta =
+          bisection.side[u] == from ? from_delta : to_delta;
+      if (u == v || delta == 0) continue;
+      gain[u] += delta;
+      changed(u, gain[u] - delta);
     }
   }
   gain[v] = -gain[v];
@@ -142,10 +149,37 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
   // after its sibling and either find v locked or take the same branch.
   constexpr std::int64_t kNotQueued = std::numeric_limits<std::int64_t>::min();
   std::vector<std::int64_t> queued(n, kNotQueued);
+
+  // stale[e] counts net e's stale pins: unlocked vertices whose gain is not
+  // their queued key, i.e. exactly those a push would enqueue, so the
+  // refresh below walks only nets that have some. Every vertex starts
+  // stale; mark_stale moves one vertex in or out on all its nets wherever a
+  // gain, a queued key or a lock changes.
+  std::vector<std::uint32_t> stale(hypergraph.num_nets());
+  for (NetId e = 0; e < hypergraph.num_nets(); ++e) {
+    stale[e] = static_cast<std::uint32_t>(hypergraph.pins(e).size());
+  }
+  auto mark_stale = [&](VertexId v, bool is_stale) {
+    for (NetId e : hypergraph.nets_of(v)) {
+      if (is_stale) {
+        ++stale[e];
+      } else {
+        --stale[e];
+      }
+    }
+  };
+  // Only ever called on unlocked vertices, so an enqueued v was stale.
   auto push = [&](VertexId v) {
     if (queued[v] == gain[v]) return;
     queued[v] = gain[v];
     heap.push({gain[v], v});
+    mark_stale(v, false);
+  };
+  auto gain_changed = [&](VertexId u, std::int64_t before) {
+    if (locked[u]) return;
+    const bool was_stale = queued[u] != before;
+    const bool is_stale = queued[u] != gain[u];
+    if (was_stale != is_stale) mark_stale(u, is_stale);
   };
 
   // Seed the heap with boundary vertices (vertices on at least one cut net);
@@ -189,7 +223,11 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
     const HeapEntry top = heap.top();
     heap.pop();
     const VertexId v = top.vertex;
-    if (queued[v] == top.gain) queued[v] = kNotQueued;
+    // Popping v's latest entry unqueues v. If that entry was current, v
+    // turns stale: counted below when the move is skipped, moot when it is
+    // made and locks v.
+    const bool popped_latest = queued[v] == top.gain;
+    if (popped_latest) queued[v] = kNotQueued;
     if (locked[v]) continue;
     MG_DCHECK(gain[v] == bisection.gain(hypergraph, v));
     const std::int64_t current_gain = gain[v];
@@ -206,11 +244,15 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
     weight_after[bisection.side[v]] -= hypergraph.vertex_weight(v);
     weight_after[to] = to_weight;
     const std::uint64_t over_after = bounds.overweight(weight_after);
-    if (over_after > over_now) continue;  // would worsen balance: skip
+    if (over_after > over_now) {  // would worsen balance: skip
+      if (popped_latest) mark_stale(v, true);
+      continue;
+    }
 
-    update_gains_for_move(hypergraph, bisection, v, gain);
-    bisection.move(hypergraph, v);
+    if (!popped_latest) mark_stale(v, false);  // locked pins are not stale
     locked[v] = 1;
+    update_gains_for_move(hypergraph, bisection, v, gain, gain_changed);
+    bisection.move(hypergraph, v);
     moves.push_back(v);
     cum_gain += current_gain;
 
@@ -228,13 +270,15 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
       ++since_best;
     }
 
-    // Refresh neighbours whose gain changed.
+    // Refresh neighbours whose gain changed: push the stale pins of v's cut
+    // nets, in pin order, walking each net only until its count runs out.
     for (NetId e : hypergraph.nets_of(v)) {
       // Only nets near the boundary matter; skip internal ones.
-      if (bisection.pins_in[e][0] != 0 && bisection.pins_in[e][1] != 0 &&
-          bisection.pins_in[e][0] + bisection.pins_in[e][1] > 1) {
+      if (stale[e] != 0 && bisection.pins_in[e][0] != 0 &&
+          bisection.pins_in[e][1] != 0) {
         for (VertexId u : hypergraph.pins(e)) {
           if (!locked[u]) push(u);
+          if (stale[e] == 0) break;
         }
       }
     }
@@ -243,6 +287,13 @@ bool fm_pass(const Hypergraph& hypergraph, Bisection& bisection,
   // Audited before the rollback, which does not maintain the cache.
   for (VertexId v = 0; v < n; ++v) {
     MG_DCHECK(gain[v] == bisection.gain(hypergraph, v));
+  }
+  for (NetId e = 0; e < hypergraph.num_nets(); ++e) {
+    std::uint32_t expected = 0;
+    for (VertexId u : hypergraph.pins(e)) {
+      if (locked[u] == 0 && queued[u] != gain[u]) ++expected;
+    }
+    MG_DCHECK(stale[e] == expected);
   }
 #endif
 

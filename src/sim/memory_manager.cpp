@@ -21,7 +21,10 @@ MemoryManager::MemoryManager(core::GpuId gpu, const core::TaskGraph& graph,
       pins_(graph.num_data(), 0),
       resident_pos_(graph.num_data(), kNoPos),
       replica_(graph.num_data(), 0),
-      protected_(graph.num_data(), 0) {}
+      protected_(graph.num_data(), 0) {
+  register_residency({reinterpret_cast<const std::uint8_t*>(residency_.data()),
+                      residency_.size()});
+}
 
 void MemoryManager::fetch(DataId data, bool demand) {
   MG_DCHECK(policy_ != nullptr && observer_ != nullptr);

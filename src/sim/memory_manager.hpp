@@ -58,7 +58,11 @@ class MemoryManager final : public core::MemoryView {
     }
   };
 
+  /// One byte per data, registered as the MemoryView's residency: any state
+  /// but kAbsent reads as present or fetching.
   enum class Residency : std::uint8_t { kAbsent, kFetching, kPresent };
+  static_assert(sizeof(Residency) == 1 &&
+                static_cast<std::uint8_t>(Residency::kAbsent) == 0);
 
   MemoryManager(core::GpuId gpu, const core::TaskGraph& graph,
                 std::uint64_t capacity_bytes, TransferRouter& router);
@@ -88,9 +92,6 @@ class MemoryManager final : public core::MemoryView {
   // MemoryView
   [[nodiscard]] bool is_present(core::DataId data) const override {
     return residency_[data] == Residency::kPresent;
-  }
-  [[nodiscard]] bool is_present_or_fetching(core::DataId data) const override {
-    return residency_[data] != Residency::kAbsent;
   }
   [[nodiscard]] std::uint64_t capacity_bytes() const override {
     return capacity_;

@@ -23,6 +23,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "stub_memory.hpp"
 #include "workloads/cholesky.hpp"
 #include "workloads/matmul2d.hpp"
 
@@ -31,6 +32,7 @@ namespace {
 
 using core::DataId;
 using core::TaskId;
+using test::StubMemory;
 
 core::Platform cluster_platform(std::uint32_t gpus, std::uint32_t nodes,
                                 std::uint64_t memory = 1000) {
@@ -43,26 +45,6 @@ core::Platform cluster_platform(std::uint32_t gpus, std::uint32_t nodes,
   platform.bus_latency_us = 0.0;
   return platform;
 }
-
-/// MemoryView stub with an explicit set of resident data.
-class StubMemory final : public core::MemoryView {
- public:
-  explicit StubMemory(std::set<DataId> present = {})
-      : present_(std::move(present)) {}
-  [[nodiscard]] bool is_present(DataId data) const override {
-    return present_.contains(data);
-  }
-  [[nodiscard]] bool is_present_or_fetching(DataId data) const override {
-    return present_.contains(data);
-  }
-  [[nodiscard]] std::uint64_t capacity_bytes() const override { return 1000; }
-  [[nodiscard]] std::uint64_t used_bytes() const override {
-    return 10 * present_.size();
-  }
-
- private:
-  std::set<DataId> present_;
-};
 
 cluster::InnerSchedulerFactory eager_factory() {
   return [] { return std::make_unique<sched::EagerScheduler>(); };

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -17,11 +16,14 @@
 #include "sim/fault_injector.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "stub_memory.hpp"
 #include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
 namespace mg::core {
 namespace {
+
+using test::StubMemory;
 
 core::Platform one_gpu_platform() {
   core::Platform platform;
@@ -29,29 +31,6 @@ core::Platform one_gpu_platform() {
   platform.gpu_memory_bytes = 1000;
   return platform;
 }
-
-/// MemoryView stub with an explicit resident set and, optionally, data
-/// whose transfer is still in flight.
-/// MemoryView whose residency a test sets, and may edit between pops.
-class StubMemory final : public MemoryView {
- public:
-  explicit StubMemory(std::set<DataId> present_data = {},
-                      std::set<DataId> fetching_data = {})
-      : present(std::move(present_data)), fetching(std::move(fetching_data)) {}
-  [[nodiscard]] bool is_present(DataId data) const override {
-    return present.contains(data);
-  }
-  [[nodiscard]] bool is_present_or_fetching(DataId data) const override {
-    return present.contains(data) || fetching.contains(data);
-  }
-  [[nodiscard]] std::uint64_t capacity_bytes() const override { return 1000; }
-  [[nodiscard]] std::uint64_t used_bytes() const override {
-    return 10 * (present.size() + fetching.size());
-  }
-
-  std::set<DataId> present;
-  std::set<DataId> fetching;
-};
 
 TEST(DartsName, ComposesVariantNames) {
   EXPECT_EQ(darts_variant_name({.use_luf = false}), "DARTS");
@@ -519,24 +498,19 @@ std::uint32_t run_free_count_case(std::uint64_t seed, std::uint32_t gpus,
     const auto held = [&](DataId data) {
       return view.is_present_or_fetching(data);
     };
-    const auto drop = [&](DataId data) {
-      view.present.erase(data);
-      view.fetching.erase(data);
-    };
     switch (rng.below(10)) {
       case 0: {  // a fetch starts (schedulers are not told)
         const DataId data =
             random_data([&](DataId candidate) { return !held(candidate); });
-        if (data != kInvalidData) view.fetching.insert(data);
+        if (data != kInvalidData) view.set_fetching(data);
         break;
       }
       case 1: {  // a fetch lands
         const DataId data = random_data([&](DataId candidate) {
-          return view.fetching.contains(candidate);
+          return view.is_fetching(candidate);
         });
         if (data == kInvalidData) break;
-        view.fetching.erase(data);
-        view.present.insert(data);
+        view.set_present(data);
         darts.on_load(gpu, data);
         darts.notify_data_loaded(gpu, data);
         break;
@@ -544,7 +518,7 @@ std::uint32_t run_free_count_case(std::uint64_t seed, std::uint32_t gpus,
       case 2: {  // an eviction, announced or (like a drain's wipe) not
         const DataId data = random_data(held);
         if (data == kInvalidData) break;
-        drop(data);
+        view.drop(data);
         if (rng.chance(0.5)) {
           darts.on_evict(gpu, data);
           darts.notify_data_evicted(gpu, data);
@@ -553,8 +527,7 @@ std::uint32_t run_free_count_case(std::uint64_t seed, std::uint32_t gpus,
       }
       case 3:  // the whole GPU is wiped without a word
         if (rng.chance(0.2)) {
-          view.present.clear();
-          view.fetching.clear();
+          view.clear();
         }
         break;
       case 4: {  // LUF evicts an input of a planned task
@@ -563,7 +536,7 @@ std::uint32_t run_free_count_case(std::uint64_t seed, std::uint32_t gpus,
         const auto inputs = graph.inputs(planned[rng.pick_index(planned)]);
         const DataId data = inputs[rng.pick_index(inputs)];
         darts.on_evict(gpu, data);
-        drop(data);
+        view.drop(data);
         darts.notify_data_evicted(gpu, data);
         break;
       }
@@ -623,7 +596,7 @@ std::uint32_t run_free_count_case(std::uint64_t seed, std::uint32_t gpus,
         }
         // The runtime starts fetching the task's absent inputs.
         for (DataId data : graph.inputs(task)) {
-          if (!held(data) && rng.chance(0.7)) view.fetching.insert(data);
+          if (!held(data) && rng.chance(0.7)) view.set_fetching(data);
         }
         break;
       }

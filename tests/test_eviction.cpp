@@ -228,22 +228,21 @@ TEST(BeladyReplayEviction, MultiGpuOrdersAreSeparate) {
 //   line 7: with every candidate used by the pipeline, apply Belady's rule
 //           over the buffered order (furthest first-next-use wins).
 
-/// MemoryView mirroring an explicit resident set.
+/// MemoryView mirroring an explicit resident set, one registered byte per
+/// data.
 class LufMirrorMemory final : public core::MemoryView {
  public:
-  explicit LufMirrorMemory(std::uint32_t num_data)
-      : present_(num_data, false) {}
-  [[nodiscard]] bool is_present(DataId data) const override {
-    return present_[data];
+  explicit LufMirrorMemory(std::uint32_t num_data) : present_(num_data, 0) {
+    register_residency(present_);
   }
-  [[nodiscard]] bool is_present_or_fetching(DataId data) const override {
-    return present_[data];
+  [[nodiscard]] bool is_present(DataId data) const override {
+    return present_[data] != 0;
   }
   [[nodiscard]] std::uint64_t capacity_bytes() const override {
     return 1'000'000;
   }
   [[nodiscard]] std::uint64_t used_bytes() const override { return 0; }
-  std::vector<bool> present_;
+  std::vector<std::uint8_t> present_;  ///< never resized: read in place
 };
 
 struct LufDrive {

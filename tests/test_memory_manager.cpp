@@ -187,6 +187,45 @@ TEST(MemoryManager, ResidentListTracksContents) {
   EXPECT_EQ(fixture.manager.evictions(), 0u);
 }
 
+TEST(MemoryManager, ViewResidencyBytesFollowEveryTransition) {
+  // Schedulers read is_present_or_fetching through the MemoryView base, as
+  // a plain read of the residency bytes the manager registered.
+  Fixture fixture(30);  // three of the ten data fit
+  const core::MemoryView& view = fixture.manager;
+  const auto agrees = [&](const char* step) {
+    for (DataId data = 0; data < fixture.graph.num_data(); ++data) {
+      EXPECT_EQ(view.is_present_or_fetching(data),
+                fixture.manager.residency(data) !=
+                    MemoryManager::Residency::kAbsent)
+          << step << ", data " << data;
+    }
+  };
+  agrees("start");
+  for (DataId data = 0; data < 3; ++data) fixture.manager.fetch(data, true);
+  agrees("fetch start");
+  EXPECT_TRUE(view.is_present_or_fetching(2));
+  fixture.events.run_until_empty();
+  agrees("landing");
+  fixture.manager.fetch(3, true);  // full: the least recently used goes
+  EXPECT_EQ(fixture.manager.evictions(), 1u);
+  EXPECT_FALSE(view.is_present_or_fetching(0));
+  agrees("eviction");
+  fixture.events.run_until_empty();
+  agrees("second landing");
+  fixture.manager.wipe_resident();
+  EXPECT_TRUE(fixture.manager.resident().empty());
+  agrees("wipe_resident");
+  fixture.manager.fetch(4, true);
+  fixture.manager.fetch(5, true);
+  fixture.events.run_until_empty();
+  fixture.manager.fetch(6, true);  // still in flight at the loss
+  fixture.manager.deactivate();
+  agrees("deactivate");
+  for (DataId data = 0; data < fixture.graph.num_data(); ++data) {
+    EXPECT_FALSE(view.is_present_or_fetching(data)) << "data " << data;
+  }
+}
+
 TEST(MemoryManagerDeath, OversizedDataAborts) {
   Fixture fixture(5);  // smaller than any data item
   EXPECT_DEATH(fixture.manager.fetch(0, true), "larger than GPU memory");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/memory_view.hpp"
 
 namespace mg::core {
@@ -155,15 +158,17 @@ TEST(Platform, SingleNodeIsNotACluster) {
 TEST(MemoryView, FreeBytesDerivesFromCapacityAndUse) {
   class Stub final : public MemoryView {
    public:
+    Stub() { register_residency(held_); }
     [[nodiscard]] bool is_present(DataId) const override { return false; }
-    [[nodiscard]] bool is_present_or_fetching(DataId) const override {
-      return false;
-    }
     [[nodiscard]] std::uint64_t capacity_bytes() const override { return 100; }
     [[nodiscard]] std::uint64_t used_bytes() const override { return 30; }
+
+   private:
+    std::array<std::uint8_t, 1> held_{};
   };
   Stub stub;
   EXPECT_EQ(stub.free_bytes(), 70u);
+  EXPECT_FALSE(stub.is_present_or_fetching(0));
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cluster/hierarchical.hpp"
 #include "core/task_graph.hpp"
 #include "decision_pin.hpp"
 #include "sched/dmda.hpp"
@@ -19,6 +21,7 @@
 #include "sim/engine.hpp"
 #include "sim/invariant_checker.hpp"
 #include "sim/run_report.hpp"
+#include "stub_memory.hpp"
 #include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -27,6 +30,7 @@ namespace {
 
 using core::DataId;
 using core::TaskId;
+using test::StubMemory;
 
 core::Platform tiny_platform(std::uint32_t gpus, std::uint64_t memory) {
   core::Platform platform;
@@ -37,27 +41,6 @@ core::Platform tiny_platform(std::uint32_t gpus, std::uint64_t memory) {
   platform.bus_latency_us = 0.0;
   return platform;
 }
-
-/// MemoryView stub with an explicit set of resident data.
-class StubMemory final : public core::MemoryView {
- public:
-  explicit StubMemory(std::set<DataId> present = {})
-      : present_(std::move(present)) {}
-  [[nodiscard]] bool is_present(DataId data) const override {
-    return present_.contains(data);
-  }
-  [[nodiscard]] bool is_present_or_fetching(DataId data) const override {
-    return present_.contains(data);
-  }
-  [[nodiscard]] std::uint64_t capacity_bytes() const override { return 1000; }
-  [[nodiscard]] std::uint64_t used_bytes() const override {
-    return 10 * present_.size();
-  }
-  void add(DataId data) { present_.insert(data); }
-
- private:
-  std::set<DataId> present_;
-};
 
 TEST(Eager, PopsInSubmissionOrder) {
   const core::TaskGraph graph =
@@ -414,10 +397,12 @@ using test::Pin;
 using test::pin_of;
 
 Pin run_batch(const core::TaskGraph& graph, core::Scheduler& scheduler,
-              std::uint32_t gpus, std::uint64_t memory_mb) {
-  sim::RuntimeEngine engine(
-      graph, core::make_v100_platform(gpus, memory_mb * core::kMB), scheduler,
-      {.seed = 7});
+              std::uint32_t gpus, std::uint64_t memory_mb,
+              std::uint32_t nodes = 1) {
+  core::Platform platform =
+      core::make_v100_platform(gpus, memory_mb * core::kMB);
+  platform.num_nodes = nodes;
+  sim::RuntimeEngine engine(graph, platform, scheduler, {.seed = 7});
   sim::RunReportCollector recorder;
   sim::InvariantChecker checker({.fail_fast = false});
   engine.add_inspector(&recorder);
@@ -432,6 +417,18 @@ Pin run_hmetis_stealing() {
   HmetisScheduler hmetis;
   const Pin pin = run_batch(work::make_matmul_2d({.n = 30}), hmetis, 4, 100);
   EXPECT_GT(hmetis.steal_events(), 0u);
+  return pin;
+}
+
+Pin run_hierarchical_hmetis() {
+  // Two nodes of two GPUs: each node's hMETIS+R prices its Ready pops
+  // through the wrapper's id-translating view, and a drained node steals
+  // from the other node.
+  cluster::HierarchicalScheduler hierarchical(
+      [] { return std::make_unique<HmetisScheduler>(); });
+  const Pin pin = run_batch(work::make_matmul_2d({.n = 20}), hierarchical, 4,
+                            100, /*nodes=*/2);
+  EXPECT_GT(hierarchical.steal_count(), 0u);
   return pin;
 }
 
@@ -512,6 +509,8 @@ const PinCase kPinCases[] = {
      {0x6f998e6677355550ULL, 266, 158, 66965.719354108733}},
     {"MhfpTieredStream", run_mhfp_tiered_stream,
      {0xa8be1c40dbed1da9ULL, 456, 442, 428781.58530144137}},
+    {"HierarchicalHmetis", run_hierarchical_hmetis,
+     {0x849a6c52d098b475ULL, 379, 351, 185244.11001282727}},
 };
 
 // gtest prints the parameter into each test's listed name; print the case
